@@ -165,14 +165,6 @@ def cap_excesses(p: Presentation, rep: MatrixRep) -> list[float]:
     return out
 
 
-def is_feasible(p: Presentation, rep: MatrixRep, registry,
-                cfg: SearchConfig) -> bool:
-    res = relation_residuals(p, rep, registry)
-    exc = cap_excesses(p, rep)
-    return (max(res, default=0.0) < cfg.tol_feas
-            and max(exc, default=0.0) < cfg.tol_cap)
-
-
 def _poly_grad(bodies_and_evals, syms: list[str], rep: MatrixRep) -> dict:
     """Wirtinger gradient of sum ||eval(body)||_F^2 for call-free bodies.
 

@@ -24,8 +24,8 @@ import re
 from dataclasses import dataclass, field
 
 from .parser import ParseError, parse_scalar, parse_normvalue, parse_term
-from .presentation import (Presentation, Relation, load_presentation,
-                           parse_relation_text)
+from .presentation import load_presentation, parse_relation_text
+from .terms import NormedSet, valid_ident
 from . import tietze
 
 
@@ -231,15 +231,15 @@ def load_script(path: str) -> Script:
                   os.path.join(base, end_path), steps)
 
 
-def _build_justification(step: ScriptStep, cur: Presentation, registry):
+def _build_justification(step: ScriptStep, gens: NormedSet, registry):
     if step.just_kind == "oracle":
         return tietze.OraclePending("declared oracle step")
     if step.just_kind == "cert":
         summands = []
         for a, rel, starred, b in step.cert_items:
             try:
-                na = parse_term(a, cur.gens, registry)
-                nb = parse_term(b, cur.gens, registry)
+                na = parse_term(a, gens, registry)
+                nb = parse_term(b, gens, registry)
             except ParseError as e:
                 raise ScriptError("line %d: %s" % (step.lineno, e))
             summands.append((na, rel, starred, nb))
@@ -252,13 +252,13 @@ def _build_justification(step: ScriptStep, cur: Presentation, registry):
                 if schema is not None and var in schema.scalar_vars:
                     bindings[var] = parse_scalar(text)
                 elif schema is not None and var in schema.term_vars:
-                    bindings[var] = parse_term(text, cur.gens, registry)
+                    bindings[var] = parse_term(text, gens, registry)
                 else:
                     # schema not on hand; scalars are the rarer shape
                     try:
                         bindings[var] = parse_scalar(text)
                     except ParseError:
-                        bindings[var] = parse_term(text, cur.gens, registry)
+                        bindings[var] = parse_term(text, gens, registry)
             except ParseError as e:
                 raise ScriptError("line %d: binding %s: %s"
                                   % (step.lineno, var, e))
@@ -268,38 +268,40 @@ def _build_justification(step: ScriptStep, cur: Presentation, registry):
 
 
 def build_derivation(script: Script, registry) -> tuple:
-    """Parse step texts against the evolving presentation; returns the
-    derivation plus one label per move for reporting."""
+    """Parse each step against the generator set in force before it;
+    returns the derivation plus one label per move for reporting.
+
+    A pure front end: no move is applied here, so each move is checked
+    once, by `tietze.check_derivation`.  Only addgen and delgen change the
+    generator set, and they are tracked syntactically.  ScriptError means
+    step text that does not parse; a move that cannot be applied is left
+    to the replay, which reports it as a failed step."""
     start = load_presentation(script.start_path, registry)
     end = load_presentation(script.end_path, registry)
-    cur = start
+    gens = start.gens.copy()
     moves, labels = [], []
     for step in script.steps:
-        if step.kind == "addrel":
-            try:
-                rels = parse_relation_text(step.name, step.text, cur.gens,
-                                           registry)
-            except ParseError as e:
-                raise ScriptError("line %d: %s" % (step.lineno, e))
-            just = _build_justification(step, cur, registry)
-            move = tietze.AddRelations(tuple((r, just) for r in rels))
-        elif step.kind == "delrel":
-            just = _build_justification(step, cur, registry)
-            move = tietze.RemoveRelations(((step.name, just),))
-        elif step.kind == "addgen":
-            try:
-                cap = parse_normvalue(step.cap)
-                defining = parse_term(step.text, cur.gens, registry)
-            except ParseError as e:
-                raise ScriptError("line %d: %s" % (step.lineno, e))
-            move = tietze.AddGenerators(((step.name, cap, defining),))
-        elif step.kind == "delgen":
-            move = tietze.RemoveGenerators(((step.name, step.via),))
-        else:  # pragma: no cover - load_script rejects other kinds
-            raise ScriptError("line %d: unknown step" % step.lineno)
         try:
-            cur, _ = tietze.apply_move(cur, move, "permissive", registry)
-        except tietze.MoveError as e:
+            if step.kind == "addrel":
+                rels = parse_relation_text(step.name, step.text, gens,
+                                           registry)
+                just = _build_justification(step, gens, registry)
+                move = tietze.AddRelations(tuple((r, just) for r in rels))
+            elif step.kind == "delrel":
+                just = _build_justification(step, gens, registry)
+                move = tietze.RemoveRelations(((step.name, just),))
+            elif step.kind == "addgen":
+                cap = parse_normvalue(step.cap)
+                defining = parse_term(step.text, gens, registry)
+                move = tietze.AddGenerators(((step.name, cap, defining),))
+                if step.name not in gens and valid_ident(step.name):
+                    gens.add(step.name, cap)
+            elif step.kind == "delgen":
+                move = tietze.RemoveGenerators(((step.name, step.via),))
+                gens = gens.without(step.name)
+            else:  # pragma: no cover - load_script rejects other kinds
+                raise ScriptError("line %d: unknown step" % step.lineno)
+        except ParseError as e:
             raise ScriptError("line %d: %s" % (step.lineno, e))
         moves.append(move)
         labels.append(step.label())
@@ -308,8 +310,9 @@ def build_derivation(script: Script, registry) -> tuple:
 
 def check_script(path: str, mode: str, registry,
                  build_registry=None) -> tuple:
-    """Replay a script file.  `build_registry` (default: `registry`) is
-    used for parsing; pass the full registry here when checking with a
+    """Parse a script file, then replay it once with `check_derivation`
+    under `registry`.  `build_registry` (default: `registry`) is used for
+    parsing only; pass the full registry here when checking with a
     schema-stripped one."""
     script = load_script(path)
     drv, labels = build_derivation(script, build_registry or registry)

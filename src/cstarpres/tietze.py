@@ -608,47 +608,38 @@ def bridge(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
 # -- bounded simplification ---------------------------------------------------------
 
 def auto_simplify(p: Presentation, registry, max_degree: int = 1,
-                  max_steps: int = 40,
-                  mode: str = "strict") -> tuple[Presentation, Derivation]:
+                  max_steps: int = 40) -> tuple[Presentation, Derivation]:
     """Greedy removal of certificate-redundant relations and of generators
-    with an eliminable defining relation; takes only gap-free moves, so the
-    emitted derivation re-checks in the same mode."""
+    with an eliminable defining relation.  Each candidate move is checked
+    once, by a strict `apply_move`, so the emitted derivation is gap-free
+    and re-checks in strict mode."""
     cur = p
     steps = []
     while len(steps) < max_steps:
-        move = None
-        for rel in cur.relations:
-            others = [(r.name, r.body) for r in cur.relations
-                      if r.name != rel.name]
-            cert = search_certificate(others, rel.body, cur.gens, registry,
-                                      max_degree=max_degree)
-            if cert is not None:
-                move = RemoveRelations(((rel.name, cert),))
-                break
-        if move is None:
-            for rel in cur.relations:
-                done = False
-                for sym in cur.gens.names():
-                    c = rel.body.get((Atom(GEN, sym),))
-                    if c is None or c.is_zero:
-                        continue
-                    t = gen_nf(sym) - rel.body * (Coeff.ONE / c)
-                    if sym in t.symbols():
-                        continue
-                    rest = [r.body for r in cur.relations
-                            if r.name != rel.name]
-                    ctx = bounds.context_from_relations(cur.gens, registry,
-                                                        rest)
-                    ub = bounds.norm_bound(t, ctx)
-                    if ub.cmp(cur.gens.norm(sym)) > 0:
-                        continue
-                    move = RemoveGenerators(((sym, rel.name),))
-                    done = True
-                    break
-                if done:
-                    break
-        if move is None:
+        found = _next_removal(cur, registry, max_degree)
+        if found is None:
             break
-        cur, _ = apply_move(cur, move, mode, registry)
+        move, cur = found
         steps.append(move)
     return cur, Derivation(p, tuple(steps), cur)
+
+
+def _next_removal(cur: Presentation, registry, max_degree: int):
+    """The first redundant relation, else the first eliminable generator,
+    as (move, presentation after it); None when there is neither."""
+    for rel in cur.relations:
+        others = [(r.name, r.body) for r in cur.relations
+                  if r.name != rel.name]
+        cert = search_certificate(others, rel.body, cur.gens, registry,
+                                  max_degree=max_degree)
+        if cert is not None:
+            move = RemoveRelations(((rel.name, cert),))
+            return move, apply_move(cur, move, "strict", registry)[0]
+    for rel in cur.relations:
+        for sym in cur.gens.names():
+            move = RemoveGenerators(((sym, rel.name),))
+            try:
+                return move, apply_move(cur, move, "strict", registry)[0]
+            except MoveError:
+                continue
+    return None

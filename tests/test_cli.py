@@ -112,6 +112,44 @@ def test_check_end_mismatch_is_exit_1(capsys, corpus, tmp_path):
     assert "does not match" in out
 
 
+@pytest.mark.parametrize("step,label,error", [
+    ("delrel nosuch by oracle", "delrel nosuch",
+     "delrel nosuch: no such relation"),
+    ("addgen x : 1 := x", "addgen x", "addgen x: symbol already declared"),
+])
+def test_check_move_error_is_failed_step(capsys, corpus, tmp_path, step,
+                                         label, error):
+    (tmp_path / "sa.pres").write_text(
+        (corpus / "self_adjoint.pres").read_text())
+    script = tmp_path / "bad_move.drv"
+    script.write_text("start: sa.pres\n"
+                      "end: sa.pres\n"
+                      "\n"
+                      "1. %s\n" % step)
+    code, out, _ = run(capsys, "check", str(script), "--permissive",
+                       "--manifest", "")
+    assert code == 1
+    lines = out.splitlines()
+    assert "step 1: %s ... FAIL" % label in lines
+    assert "  " + error in lines
+    assert lines[-1] == "overall: FAIL (stopped at step 1: %s)" % error
+
+
+def test_check_unparsable_step_is_exit_2(capsys, corpus, tmp_path):
+    (tmp_path / "sa.pres").write_text(
+        (corpus / "self_adjoint.pres").read_text())
+    script = tmp_path / "bad_text.drv"
+    script.write_text("start: sa.pres\n"
+                      "end: sa.pres\n"
+                      "\n"
+                      "1. addrel r := x + by oracle\n")
+    code, out, err = run(capsys, "check", str(script), "--permissive",
+                         "--manifest", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 4:")
+
+
 def test_check_json_validates_schema(capsys, corpus, schemas_dir):
     drv = str(corpus / "self_adjoint_to_positive.drv")
     code, out, _ = run(capsys, "check", drv, "--json", "--manifest", "")

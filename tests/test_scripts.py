@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from cstarpres import scripts
+from cstarpres import scripts, tietze
 from cstarpres.exact import XS
 from cstarpres.scripts import (ScriptError, build_derivation, check_script,
                                load_script, render_report, report_json_text,
@@ -209,3 +210,46 @@ def test_relative_paths_resolve_from_script_dir(reg, tmp_path):
     rep, labels, _ = check_script(str(path), "strict", reg)
     assert rep.overall == "PASS"
     assert labels == []
+
+
+def test_each_move_is_checked_once(reg, corpus, monkeypatch):
+    calls = []
+    inner = tietze.apply_move
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tietze, "apply_move", counting)
+    for name, mode in (("left_inv_chain", "strict"),
+                       ("idempotent_to_projections", "permissive")):
+        calls.clear()
+        rep, _, _ = check_script(str(corpus / (name + ".drv")), mode, reg)
+        assert rep.overall == "PASS"
+        assert len(calls) == len(rep.steps)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (script, mode, with schemata): every corpus .drv in both modes, plus
+# left_inv_chain against a schema-stripped registry
+CORPUS_REPLAYS = [
+    ("idempotent_to_projections", "strict", True),
+    ("idempotent_to_projections", "permissive", True),
+    ("left_inv_chain", "strict", True),
+    ("left_inv_chain", "permissive", True),
+    ("left_inv_chain", "permissive", False),
+    ("self_adjoint_to_positive", "strict", True),
+    ("self_adjoint_to_positive", "permissive", True),
+]
+
+
+@pytest.mark.parametrize("script,mode,schemata", CORPUS_REPLAYS)
+def test_corpus_report_matches_golden(reg, corpus, script, mode, schemata):
+    check_reg = reg if schemata else reg.without_schemata()
+    rep, labels, _ = check_script(str(corpus / (script + ".drv")), mode,
+                                  check_reg, build_registry=reg)
+    golden = GOLDEN / ("%s.%s%s.json"
+                       % (script, mode, "" if schemata else ".no-schemata"))
+    assert report_json_text(rep, labels).encode("utf-8") == \
+        golden.read_bytes()
