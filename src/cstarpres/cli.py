@@ -62,6 +62,9 @@ def _mode(args) -> str:
 
 
 def _search_config(args) -> repsearch.SearchConfig:
+    for flag, value in (("--dim", args.dim), ("--restarts", args.restarts)):
+        if value < 1:
+            raise UsageError("%s must be at least 1, got %d" % (flag, value))
     return repsearch.SearchConfig(seed=args.seed, restarts=args.restarts)
 
 

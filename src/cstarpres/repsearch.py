@@ -5,6 +5,9 @@ homomorphically; function-call atoms go through the eigendecomposition of
 the symmetrized argument (entire functions through the matrix
 exponential).  On top of evaluation sit a seeded penalized feasibility
 search, a redundancy refuter, and a norm lower-bound witness search.
+The search's gradient is reverse mode through every atom: divided
+differences of the scalar function for spectral calls (Daleckii-Krein)
+and the Frechet derivative of the matrix exponential for entire ones.
 None of this is trusted by the symbolic kernel: a witness refutes, a
 failed search proves nothing.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .terms import ADJ, CALL, GEN, NF, UNIT
+from .terms import ADJ, GEN, NF, UNIT
 from .presentation import Presentation
 
 
@@ -64,6 +67,15 @@ def _entire_eval(sym: str, a: np.ndarray) -> np.ndarray:
     raise EvalError("no matrix evaluation for entire function %r" % sym)
 
 
+def _clamp(vals, window: tuple[float | None, float | None]):
+    lo, hi = window
+    if lo is not None:
+        vals = np.maximum(vals, lo)
+    if hi is not None:
+        vals = np.minimum(vals, hi)
+    return vals
+
+
 def _call_eval(atom, rep: MatrixRep, registry, diag: EvalDiag,
                strict_herm: bool) -> np.ndarray:
     fn = registry.function(atom.sym)
@@ -81,12 +93,7 @@ def _call_eval(atom, rep: MatrixRep, registry, diag: EvalDiag,
                         "asymmetry %.3g)" % (atom.sym, err))
     h = (a + a.conj().T) / 2
     vals, vecs = np.linalg.eigh(h)
-    lo, hi = fn.clamp_window(atom.params)
-    clamped = vals
-    if lo is not None:
-        clamped = np.maximum(clamped, lo)
-    if hi is not None:
-        clamped = np.minimum(clamped, hi)
+    clamped = _clamp(vals, fn.clamp_window(atom.params))
     drift = float(np.max(np.abs(clamped - vals))) if len(vals) else 0.0
     if drift > diag.clamp:
         diag.clamp = drift
@@ -145,10 +152,6 @@ def _unpack(theta: np.ndarray, syms: list[str], d: int,
     return MatrixRep(d, assign, flavor)
 
 
-def _has_calls(t: NF) -> bool:
-    return any(a.kind == CALL for mono in t for a in mono)
-
-
 # -- residuals and objective ----------------------------------------------------
 
 def relation_residuals(p: Presentation, rep: MatrixRep, registry,
@@ -165,46 +168,123 @@ def cap_excesses(p: Presentation, rep: MatrixRep) -> list[float]:
     return out
 
 
-def _poly_grad(bodies_and_evals, syms: list[str], rep: MatrixRep) -> dict:
-    """Wirtinger gradient of sum ||eval(body)||_F^2 for call-free bodies.
+# -- reverse-mode gradient ------------------------------------------------------
 
-    Takes (body, evaluated matrix) pairs; returns symbol -> d f / d conj(X).
+DD_STEP = 1e-6  # eigenvalue gap below which a divided difference is a derivative
+
+
+def _divided_differences(g, vals: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """First divided differences of g on the eigenvalues (Daleckii-Krein).
+
+    Pairs closer than DD_STEP (scaled) take a central difference of g at
+    their midpoint, so g needs no separate derivative.
+    """
+    n = len(vals)
+    step = DD_STEP * max(1.0, float(np.max(np.abs(vals))))
+    delta = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gap = vals[i] - vals[j]
+            if abs(gap) > step:
+                q = (fv[i] - fv[j]) / gap
+            else:
+                mid = (vals[i] + vals[j]) / 2
+                q = (g(mid + step) - g(mid - step)) / (2 * step)
+            delta[i, j] = delta[j, i] = q
+    return delta
+
+
+def _entire_pullback(sym: str, a: np.ndarray, bar: np.ndarray) -> np.ndarray:
+    """Adjoint of the Frechet derivative of sym at a, applied to bar.
+
+    The adjoint of L_exp(A, .) is L_exp(A^H, .); sin and cos combine the
+    exponentials of +-iA as in _entire_eval.
+    """
+    from scipy.linalg import expm_frechet
+
+    ah = a.conj().T
+
+    def frechet(m):
+        return expm_frechet(m, bar, compute_expm=False)
+    if sym == "exp":
+        return frechet(ah)
+    if sym == "sin":
+        return (frechet(-1j * ah) + frechet(1j * ah)) / 2
+    # cos: _entire_eval has rejected every other symbol
+    return (1j * frechet(1j * ah) - 1j * frechet(-1j * ah)) / 2
+
+
+def _call_vjp(atom, rep: MatrixRep, registry):
+    """Value of a call atom and the map from its adjoint to its argument's."""
+    fn = registry.function(atom.sym)
+    if fn is None:
+        raise EvalError("unknown function symbol %r" % atom.sym)
+    a = eval_term(rep, atom.arg, registry, strict_herm=False)
+    if fn.domain == "entire":
+        return (_entire_eval(atom.sym, a),
+                lambda bar: _entire_pullback(atom.sym, a, bar))
+    window = fn.clamp_window(atom.params)
+    params = tuple(float(p) for p in atom.params)
+
+    def g(t):
+        return fn.scalar_fn(float(_clamp(t, window)), params)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    fv = np.array([g(v) for v in vals])
+    delta = _divided_differences(g, vals, fv)
+    vh = vecs.conj().T
+
+    def pullback(bar):
+        hbar = vecs @ (delta * (vh @ bar @ vecs)) @ vh
+        return (hbar + hbar.conj().T) / 2
+    return (vecs * fv) @ vh, pullback
+
+
+def _backward(body: NF, upstream: np.ndarray, rep: MatrixRep, registry,
+              grads: dict):
+    """Add the adjoint of d eval(body) applied to upstream into grads.
+
+    With upstream = d f / d conj(eval(body)), this adds d f / d conj(X)
+    (Wirtinger) to grads[X] for each generator X.  A call atom passes its
+    adjoint through _call_vjp and recurses into its argument.
     """
     d = rep.dim
     eye = np.eye(d, dtype=complex)
-    grads = {s: np.zeros((d, d), dtype=complex) for s in syms}
-    for body, m in bodies_and_evals:
-        for mono, c in body.items():
-            mats = []
-            for atom in mono:
-                if atom.kind == GEN:
-                    mats.append(rep.assign[atom.sym])
-                else:
-                    mats.append(rep.assign[atom.sym].conj().T)
-            # prefixes and suffixes around each position
-            n = len(mono)
-            pre = [eye]
-            for k in range(n):
-                pre.append(pre[-1] @ mats[k])
-            suf = [eye]
-            for k in range(n - 1, -1, -1):
-                suf.append(mats[k] @ suf[-1])
-            suf.reverse()
-            cc = complex(c)
-            for k, atom in enumerate(mono):
-                left, right = pre[k], suf[k + 1]
-                if atom.kind == GEN:
-                    grads[atom.sym] += np.conj(cc) * (
-                        left.conj().T @ m @ right.conj().T)
-                else:
-                    grads[atom.sym] += cc * (right @ m.conj().T @ left)
-    return grads
+    for mono, c in body.items():
+        mats, pulls = [], {}
+        for k, atom in enumerate(mono):
+            if atom.kind == GEN:
+                mats.append(rep.assign[atom.sym])
+            elif atom.kind == ADJ:
+                mats.append(rep.assign[atom.sym].conj().T)
+            else:
+                value, pulls[k] = _call_vjp(atom, rep, registry)
+                mats.append(value)
+        # prefixes and suffixes around each position
+        n = len(mono)
+        pre = [eye]
+        for k in range(n):
+            pre.append(pre[-1] @ mats[k])
+        suf = [eye]
+        for k in range(n - 1, -1, -1):
+            suf.append(mats[k] @ suf[-1])
+        suf.reverse()
+        cc = complex(c)
+        for k, atom in enumerate(mono):
+            left, right = pre[k], suf[k + 1]
+            if atom.kind == GEN:
+                grads[atom.sym] += np.conj(cc) * (
+                    left.conj().T @ upstream @ right.conj().T)
+            elif atom.kind == ADJ:
+                grads[atom.sym] += cc * (right @ upstream.conj().T @ left)
+            else:
+                bar = np.conj(cc) * (left.conj().T @ upstream @ right.conj().T)
+                _backward(atom.arg, pulls[k](bar), rep, registry, grads)
 
 
 def _objective_and_grad(p: Presentation, theta: np.ndarray, syms: list[str],
                         d: int, registry, cfg: SearchConfig,
-                        reward_term: NF | None, reward_w: float,
-                        analytic: bool):
+                        reward_term: NF | None, reward_w: float):
+    """Penalized objective and its gradient with respect to theta."""
     rep = _unpack(theta, syms, d, p.flavor)
     pairs = [(r.body, eval_term(rep, r.body, registry, strict_herm=False))
              for r in p.relations]
@@ -219,16 +299,17 @@ def _objective_and_grad(p: Presentation, theta: np.ndarray, syms: list[str],
     if reward_term is not None:
         qmat = eval_term(rep, reward_term, registry, strict_herm=False)
         val -= reward_w * float(np.linalg.norm(qmat)) ** 2
-    if not analytic:
-        return val, None
-    grads = _poly_grad(pairs, syms, rep)
+    grads = {s: np.zeros((d, d), dtype=complex) for s in syms}
+    for body, m in pairs:
+        _backward(body, m, rep, registry, grads)
     for s in syms:
         u, sv, vh = svds[s]
         exc = max(0.0, sv[0] - float(p.gens.norm(s)))
         if exc > 0.0:
             grads[s] += cfg.penalty * exc * np.outer(u[:, 0], vh[0])
     if reward_term is not None:
-        rgr = _poly_grad([(reward_term, qmat)], syms, rep)
+        rgr = {s: np.zeros((d, d), dtype=complex) for s in syms}
+        _backward(reward_term, qmat, rep, registry, rgr)
         for s in syms:
             grads[s] -= reward_w * rgr[s]
     flat = []
@@ -237,17 +318,6 @@ def _objective_and_grad(p: Presentation, theta: np.ndarray, syms: list[str],
         flat.append(2 * g.real.ravel())
         flat.append(2 * g.imag.ravel())
     return val, np.concatenate(flat)
-
-
-def _fd_grad(fun, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(theta)
-    for i in range(len(theta)):
-        tp = theta.copy()
-        tp[i] += h
-        tm = theta.copy()
-        tm[i] -= h
-        g[i] = (fun(tp) - fun(tm)) / (2 * h)
-    return g
 
 
 def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
@@ -296,21 +366,10 @@ def _run_restart(p: Presentation, d: int, cfg: SearchConfig, registry,
     if not syms:
         return rep
     theta = _pack(rep, syms)
-    analytic = not any(_has_calls(r.body) for r in p.relations)
-    if reward_term is not None and _has_calls(reward_term):
-        analytic = False
 
-    if analytic:
-        def fun_grad(th):
-            return _objective_and_grad(p, th, syms, d, registry, cfg,
-                                       reward_term, cfg.reward, True)
-    else:
-        def fun_only(th):
-            return _objective_and_grad(p, th, syms, d, registry, cfg,
-                                       reward_term, cfg.reward, False)[0]
-
-        def fun_grad(th):
-            return fun_only(th), _fd_grad(fun_only, th)
+    def fun_grad(th):
+        return _objective_and_grad(p, th, syms, d, registry, cfg,
+                                   reward_term, cfg.reward)
 
     theta = _adam(fun_grad, theta, cfg.max_iters, cfg.lr)
 

@@ -231,6 +231,22 @@ def test_lowerbound_sandwich(capsys, corpus):
     assert doc["lower_bound"] > 0.9
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--dim", "0"), ("--dim", "-1"), ("--restarts", "0")])
+@pytest.mark.parametrize("command", [
+    ("repsearch",), ("refute", "x"), ("lowerbound", "x")],
+    ids=["repsearch", "refute", "lowerbound"])
+def test_search_size_below_one_is_exit_2(capsys, corpus, tmp_path, command,
+                                         flag, value):
+    code, out, err = run(capsys, *command, "-p",
+                         str(corpus / "self_adjoint.pres"), flag, value)
+    assert code == 2
+    assert err.strip() == "error: %s must be at least 1, got %s" % (flag,
+                                                                    value)
+    assert out == ""
+    assert not (tmp_path / "run-manifest.json").exists()
+
+
 def test_normbound_payload(capsys, corpus):
     code, out, _ = run(capsys, "normbound", "x* x", "-p",
                        str(corpus / "left_invertible.pres"),
