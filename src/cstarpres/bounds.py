@@ -27,6 +27,9 @@ from .terms import (NF, Atom, GEN, ADJ, CALL, UNIT, Monomial, NormedSet,
 
 _ZERO = XS(0)
 
+# passes of `context_from_relations` before it gives up on a fixpoint
+MAX_PASSES = 8
+
 
 class Ival:
     """Closed real interval with optional infinite endpoints (None)."""
@@ -114,7 +117,17 @@ class Ival:
 
 
 class Context:
-    """Bounding context: caps plus facts harvested from ambient relations."""
+    """Bounding context: caps plus facts harvested from ambient relations.
+
+    `interval` and `norm_bound` answers are memoised per context, keyed on
+    the term and the recursion flags, and the memo is cleared whenever a
+    fact changes value, so every cached answer was computed under the
+    facts in force.  `version` counts those changes; `rounds` and
+    `converged` describe the absorption fixpoint of
+    `context_from_relations`; `stats` counts memo hits, uncached
+    evaluations and the `_depth` cut-offs that fell back to the triangle
+    bound.
+    """
 
     def __init__(self, gens: NormedSet, registry):
         self.gens = gens
@@ -124,6 +137,17 @@ class Context:
         self.sym_ival: dict[str, Ival] = {}
         self.elem_facts: list[tuple[NF, Ival]] = []
         self._elem_keys: set[NF] = set()
+        self.version = 0
+        self.rounds = 0
+        self.converged = True
+        self.stats = {"memo_hits": 0, "evaluations": 0,
+                      "interval_depth_cutoffs": 0,
+                      "norm_bound_depth_cutoffs": 0}
+        self._memo: dict[tuple, object] = {}
+
+    def _changed(self):
+        self.version += 1
+        self._memo.clear()
 
     def cap(self, s: str) -> XS:
         return self.caps[s]
@@ -131,23 +155,34 @@ class Context:
     def tighten_cap(self, s: str, v: XS):
         if v.cmp(self.caps[s]) < 0:
             self.caps[s] = v
+            self._changed()
+
+    def declare_sa(self, s: str):
+        if s not in self.sa:
+            self.sa.add(s)
+            self._changed()
 
     def tighten_sym(self, s: str, iv: Ival):
-        cur = self.sym_ival.get(s, Ival.sym(self.caps[s]))
+        old = self.sym_ival.get(s)
+        cur = Ival.sym(self.caps[s]) if old is None else old
         got = cur.intersect(iv)
         if got is not None:
             self.sym_ival[s] = got
+            if got != old:
+                self._changed()
 
     def add_elem_fact(self, key: NF, iv: Ival):
         if key in self._elem_keys:
             for i, (k, old) in enumerate(self.elem_facts):
                 if k == key:
                     merged = old.intersect(iv)
-                    if merged is not None:
+                    if merged is not None and merged != old:
                         self.elem_facts[i] = (k, merged)
+                        self._changed()
                     return
         self._elem_keys.add(key)
         self.elem_facts.append((key, iv))
+        self._changed()
 
 
 # -- self-adjointness modulo declared facts ------------------------------
@@ -239,6 +274,17 @@ def _homogeneous_square(t: NF, ctx: Context) -> bool:
 
 # -- norm bounds and intervals ---------------------------------------------
 
+def _memoised(fn, t: NF, ctx: Context, *flags):
+    key = (fn, t, flags)
+    got = ctx._memo.get(key)
+    if got is not None:
+        ctx.stats["memo_hits"] += 1
+        return got
+    ctx.stats["evaluations"] += 1
+    got = ctx._memo[key] = fn(t, ctx, *flags)
+    return got
+
+
 def _nb_atom(a: Atom, ctx: Context, depth: int) -> XS:
     if a.kind in (GEN, ADJ):
         return ctx.cap(a.sym)
@@ -268,9 +314,15 @@ def _triangle(t: NF, ctx: Context, depth: int) -> XS:
 
 def norm_bound(t: NF, ctx: Context, _square: bool = True, _depth: int = 0) -> XS:
     """Sound upper bound on the universal norm of t under ctx."""
+    return _memoised(_norm_bound, t, ctx, _square, _depth)
+
+
+def _norm_bound(t: NF, ctx: Context, _square: bool, _depth: int) -> XS:
     t = sa_normalize(t, ctx)
     best = _triangle(t, ctx, _depth)
-    if _depth < 8 and is_sa_mod(t, ctx):
+    if _depth >= 8:
+        ctx.stats["norm_bound_depth_cutoffs"] += 1
+    elif is_sa_mod(t, ctx):
         iv = interval(t, ctx, _depth=_depth + 1)
         r = iv.max_abs()
         if r is not None and r.cmp(best) < 0:
@@ -327,10 +379,15 @@ def interval(t: NF, ctx: Context, _depth: int = 0) -> Ival:
     facts) this degrades to the symmetric norm ball, which is still a
     sound enclosure of the real part of any spectral value.
     """
+    return _memoised(_interval, t, ctx, _depth)
+
+
+def _interval(t: NF, ctx: Context, _depth: int) -> Ival:
     t = sa_normalize(t, ctx)
     if t.is_zero:
         return Ival.point(_ZERO)
     if _depth > 16:
+        ctx.stats["interval_depth_cutoffs"] += 1
         return Ival.sym(_triangle(t, ctx, _depth))
     out = Ival.sym(_triangle(t, ctx, _depth))
 
@@ -425,7 +482,7 @@ def _absorb_relation(body: NF, ctx: Context):
             if (len(ma) == 1 and len(mb) == 1 and ma[0].kind == GEN
                     and mb[0].kind == ADJ and ma[0].sym == mb[0].sym
                     and ca == -cb):
-                ctx.sa.add(ma[0].sym)
+                ctx.declare_sa(ma[0].sym)
         # s*s - 1 or s s* - 1 : cap(s) <= 1
         for (ma, ca), (mb, cb) in ((pair[0], pair[1]), (pair[1], pair[0])):
             if (mb == UNIT and len(ma) == 2 and ca == -cb
@@ -451,7 +508,7 @@ def _absorb_relation(body: NF, ctx: Context):
             continue
         ctx.tighten_cap(s, norm_bound(t_def, ctx, _square=True))
         if is_sa_mod(t_def, ctx):
-            ctx.sa.add(s)
+            ctx.declare_sa(s)
             ctx.tighten_sym(s, interval(t_def, ctx))
 
     # order-macro shape: body = c*(A - p((A + A*)/2)), giving A >= 0
@@ -477,15 +534,27 @@ def _absorb_relation(body: NF, ctx: Context):
             if (len(mm) == 1 and mm[0].kind == GEN and alpha.is_real
                     and not alpha.is_zero and beta.is_real):
                 s = mm[0].sym
-                ctx.sa.add(s)
+                ctx.declare_sa(s)
                 iv = Ival(XS(0), nb).shift(XS(-beta.re)).scale(XS(1 / alpha.re))
                 ctx.tighten_sym(s, iv)
 
 
 def context_from_relations(gens: NormedSet, registry,
-                           bodies: list[NF], rounds: int = 3) -> Context:
+                           bodies: list[NF]) -> Context:
+    """Absorb every body, pass after pass, until a pass changes no fact.
+
+    Facts only tighten, so every pass leaves a sound context.  A chain of
+    definitions needs one pass per link, and a cycle such as x = y/2,
+    y = x/2 halves its caps forever; after MAX_PASSES the context is kept
+    as it stands with `converged` set to False.
+    """
     ctx = Context(gens, registry)
-    for _ in range(rounds):
+    while ctx.rounds < MAX_PASSES:
+        before = ctx.version
         for b in bodies:
             _absorb_relation(b, ctx)
+        ctx.rounds += 1
+        if ctx.version == before:
+            return ctx
+    ctx.converged = False
     return ctx

@@ -24,6 +24,8 @@ from typing import Union
 
 Rat = Union[int, Fraction]
 
+_FZERO = Fraction(0)
+
 _TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
@@ -82,21 +84,20 @@ class XS:
     __slots__ = ("a", "b", "r")
 
     def __init__(self, a: Rat, b: Rat = 0, r: int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
+        # Fraction(a) copies a Fraction; the bound engine builds many XS
+        if type(a) is not Fraction:
+            a = Fraction(a)
         if b != 0 and r > 0:
             m, d = _square_split(r)
             if d == 1:
                 a += b * m
-                b = Fraction(0)
+                b = _FZERO
                 r = 0
             else:
-                b *= m
+                b = Fraction(b) * m
                 r = d
         else:
-            b = Fraction(0)
-            r = 0
-        if b == 0:
+            b = _FZERO
             r = 0
         self.a, self.b, self.r = a, b, r
 
@@ -339,8 +340,8 @@ class Coeff:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     ZERO: "Coeff"
     ONE: "Coeff"

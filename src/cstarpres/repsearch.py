@@ -411,7 +411,15 @@ class SearchResult:
 
 def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
                     registry, reward_term: NF | None = None) -> SearchResult:
-    """Penalized random-restart search; deterministic given cfg.seed."""
+    """Penalized random-restart search; deterministic given cfg.seed.
+
+    Raises ValueError unless d >= 1 and cfg.restarts >= 1, so that
+    `refute_redundancy` and `norm_lower_bound` never report a search that
+    did not run."""
+    if d < 1:
+        raise ValueError("dimension must be at least 1, got %d" % d)
+    if cfg.restarts < 1:
+        raise ValueError("restarts must be at least 1, got %d" % cfg.restarts)
     outcomes = []
     diag = EvalDiag()
     for idx in range(cfg.restarts):

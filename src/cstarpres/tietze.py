@@ -247,8 +247,16 @@ def search_certificate(relations, target: NF, gens: NormedSet, registry,
 
 # -- justification checking ----------------------------------------------------
 
-def _context_for(p: Presentation, registry) -> bounds.Context:
-    return bounds.context_from_relations(p.gens, registry, p.bodies())
+def _context_for(p: Presentation, registry, report: StepReport | None = None,
+                 label: str = "") -> bounds.Context:
+    """The bound context of p's relations; a step report is told when
+    absorption stopped at `bounds.MAX_PASSES` short of a fixpoint."""
+    ctx = bounds.context_from_relations(p.gens, registry, p.bodies())
+    if not ctx.converged and report is not None:
+        report.notes.append(
+            "%s: bound context not converged after %d passes (its facts "
+            "are sound, possibly not the tightest)" % (label, ctx.rounds))
+    return ctx
 
 
 def _check_justification(ambient: Presentation, target: NF, just, registry,
@@ -271,7 +279,7 @@ def _check_justification(ambient: Presentation, target: NF, just, registry,
                                 "%s: schema %r not checked" % (label,
                                                                just.schema)))
             return
-        ctx = _context_for(ambient, registry)
+        ctx = _context_for(ambient, registry, report, label)
         amb = [(r.name, r.body) for r in ambient.relations]
 
         def sa_prover(diff: NF) -> bool:
@@ -358,7 +366,7 @@ def apply_move(p: Presentation, move, mode: str, registry,
         gens = p.gens.copy()
         rels = list(p.relations)
         names = set(p.relation_names())
-        ctx = _context_for(p, registry)
+        ctx = _context_for(p, registry, report, describe_move(move))
         for sym, cap, defining in move.items:
             if sym in gens:
                 raise MoveError("addgen %s: symbol already declared" % sym)
@@ -408,9 +416,9 @@ def apply_move(p: Presentation, move, mode: str, registry,
                     raise MoveError(
                         "delgen %s: defining term references %s, removed "
                         "later in the same move" % (sym, other))
-            rest = [r for r in cur.relations if r.name != via]
-            ctx = bounds.context_from_relations(
-                cur.gens, registry, [r.body for r in rest])
+            rest = tuple(r for r in cur.relations if r.name != via)
+            ctx = _context_for(cur.with_relations(rest), registry, report,
+                               "delgen %s via %s" % (sym, via))
             _norm_condition(sym, cur.gens.norm(sym), t, ctx, mode,
                             "delgen %s via %s" % (sym, via), report)
             sub = {sym: t}

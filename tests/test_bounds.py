@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from cstarpres import bounds
 from cstarpres.exact import XS
 from cstarpres.parser import parse_term
@@ -114,3 +116,112 @@ def test_sa_mod_facts(reg):
     ctx = bounds.context_from_relations(g, reg, [x - star(x)])
     assert bounds.is_sa_mod(x * x + x, ctx)
     assert not bounds.is_sa_mod(x * x - star(x) * Fraction(2), bounds.Context(g, reg))
+
+
+# -- memo invalidation and the absorption fixpoint ----------------------------
+
+def _queries(ctx):
+    x = gen_nf("x")
+    return (bounds.interval(x, ctx), bounds.interval(star(x) * x, ctx),
+            bounds.norm_bound(x - star(x), ctx), bounds.norm_bound(x * x, ctx))
+
+
+def _sa(ctx):
+    ctx.declare_sa("x")
+
+
+# (facts before the warm query, the tightening under test)
+TIGHTENINGS = {
+    "cap": (lambda ctx: None, lambda ctx: ctx.tighten_cap("x", XS(1))),
+    "sa": (lambda ctx: None, _sa),
+    "sym": (_sa, lambda ctx: ctx.tighten_sym("x", bounds.Ival(XS(0), XS(1)))),
+    "new elem fact": (lambda ctx: None, lambda ctx: ctx.add_elem_fact(
+        star(gen_nf("x")) * gen_nf("x"), bounds.Ival(XS(1), XS(4)))),
+    "narrowed elem fact": (
+        lambda ctx: ctx.add_elem_fact(star(gen_nf("x")) * gen_nf("x"),
+                                      bounds.Ival(XS(0), XS(4))),
+        lambda ctx: ctx.add_elem_fact(star(gen_nf("x")) * gen_nf("x"),
+                                      bounds.Ival(XS(1), XS(9)))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIGHTENINGS))
+def test_memo_is_cleared_by_every_tightening(reg, kind):
+    setup, tighten = TIGHTENINGS[kind]
+    g = one_gen(2)
+    ctx = bounds.Context(g, reg)
+    setup(ctx)
+    warm = _queries(ctx)
+    assert _queries(ctx) == warm and ctx.stats["memo_hits"] >= 4
+    version = ctx.version
+    tighten(ctx)
+    assert ctx.version > version
+    cold = bounds.Context(g, reg)
+    setup(cold)
+    tighten(cold)
+    assert _queries(ctx) == _queries(cold) != warm
+
+
+def test_unchanged_facts_keep_the_memo(reg):
+    ctx = bounds.Context(one_gen(2), reg)
+    ctx.declare_sa("x")
+    ctx.tighten_sym("x", bounds.Ival(XS(0), XS(1)))
+    ctx.add_elem_fact(gen_nf("x") * gen_nf("x"), bounds.Ival(XS(0), XS(1)))
+    version = ctx.version
+    ctx.declare_sa("x")
+    ctx.tighten_cap("x", XS(3))
+    ctx.tighten_sym("x", bounds.Ival(XS(-1), XS(2)))
+    ctx.add_elem_fact(gen_nf("x") * gen_nf("x"), bounds.Ival(XS(0), XS(2)))
+    assert ctx.version == version
+
+
+def _halving(pairs, names):
+    g = NormedSet()
+    for s in names:
+        g.add(s, XS(1))
+    return g, [gen_nf(a) - gen_nf(b) * Fraction(1, 2) for a, b in pairs]
+
+
+def test_reverse_definition_chain_reaches_fixpoint(reg):
+    # x1 = x2/2, ..., x4 = x5/2 listed head first: each pass moves the
+    # halving one link down the chain, so three fixed passes stop at 1/8
+    names = ["x1", "x2", "x3", "x4", "x5"]
+    g, bodies = _halving(list(zip(names, names[1:])), names)
+    ctx = bounds.context_from_relations(g, reg, bodies)
+    assert ctx.cap("x1") == XS(Fraction(1, 16))
+    assert ctx.rounds == 5 and ctx.converged
+
+
+def test_halving_cycle_stops_at_the_pass_cap(reg):
+    # x = y/2, y = x/2 forces x = y = 0, so caps that halve every pass stay
+    # sound; the loop must stop at MAX_PASSES and say so
+    g, bodies = _halving([("x", "y"), ("y", "x")], ["x", "y"])
+    ctx = bounds.context_from_relations(g, reg, bodies)
+    assert ctx.converged is False
+    assert ctx.rounds == bounds.MAX_PASSES
+    assert all(ctx.cap(s).sign() >= 0 for s in ("x", "y"))
+    assert ctx.cap("x").cmp(XS(Fraction(1, 2 ** bounds.MAX_PASSES))) <= 0
+
+
+def test_corpus_contexts_converge_within_three_passes(reg, corpus):
+    for path in sorted(corpus.iterdir()):
+        if path.name.endswith(".pres"):
+            p = load_presentation(str(path), reg)
+            ctx = bounds.context_from_relations(p.gens, reg, p.bodies())
+            assert ctx.converged and ctx.rounds <= 3, path.name
+
+
+def test_depth_cutoffs_are_counted(reg):
+    # each p( ) adds one interval level; exp of the non-self-adjoint x goes
+    # through norm_bound one level further down
+    g = one_gen(1)
+    counts = {}
+    for n in (1, 17):
+        ctx = bounds.Context(g, reg)
+        t = parse_term("p(" * n + "exp(x) + exp(x*)" + ")" * n, g, reg)
+        counts[n] = (bounds.interval(t, ctx), ctx.stats)
+    assert counts[1][1]["interval_depth_cutoffs"] == 0
+    assert counts[1][1]["norm_bound_depth_cutoffs"] == 0
+    assert counts[17][1]["interval_depth_cutoffs"] >= 1
+    assert counts[17][1]["norm_bound_depth_cutoffs"] >= 1
+    assert counts[17][0] == counts[1][0]

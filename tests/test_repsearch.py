@@ -317,6 +317,18 @@ def test_norm_lower_bound_examples(reg, corpus):
     assert val3 < 1e-6
 
 
+@pytest.mark.parametrize("d,restarts", [(0, 1), (-1, 1), (1, 0), (2, -1)])
+def test_search_size_below_one_is_value_error(reg, corpus, d, restarts):
+    p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
+    cfg = SearchConfig(restarts=restarts, max_iters=5)
+    x = gen_nf("x")
+    for search in (lambda: search_feasible(p, d, cfg, reg),
+                   lambda: norm_lower_bound(p, x, d, cfg, reg),
+                   lambda: refute_redundancy(p, x - star(x), d, cfg, reg)):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            search()
+
+
 def test_result_json_schema(reg, corpus, schemas_dir):
     p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
     res = search_feasible(p, 2, SearchConfig(restarts=2, max_iters=80), reg)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cstarpres import scripts, tietze
+from cstarpres import bounds, scripts, tietze
 from cstarpres.exact import XS
 from cstarpres.scripts import (ScriptError, build_derivation, check_script,
                                load_script, render_report, report_json_text,
@@ -227,6 +227,32 @@ def test_each_move_is_checked_once(reg, corpus, monkeypatch):
         rep, _, _ = check_script(str(corpus / (name + ".drv")), mode, reg)
         assert rep.overall == "PASS"
         assert len(calls) == len(rep.steps)
+
+
+def test_bound_engine_never_repeats_an_evaluation(reg, corpus, monkeypatch):
+    # every (context, fact state, term, flags) is evaluated at most once;
+    # contexts are kept alive so that no id is reused
+    seen = set()
+    contexts = []
+    repeats = []
+
+    def counting(name, inner):
+        def wrapper(t, ctx, *flags):
+            contexts.append(ctx)
+            key = (name, id(ctx), ctx.version, t, flags)
+            if key in seen:
+                repeats.append(key)
+            seen.add(key)
+            return inner(t, ctx, *flags)
+        return wrapper
+
+    for name in ("_interval", "_norm_bound"):
+        monkeypatch.setattr(bounds, name,
+                            counting(name, getattr(bounds, name)))
+    rep, _, _ = check_script(str(corpus / "idempotent_to_projections.drv"),
+                             "permissive", reg)
+    assert rep.overall == "PASS"
+    assert seen and not repeats
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -394,3 +394,21 @@ def test_consistency_of_images_with_evaluation(reg):
     for r in d.start.relations:
         val = repsearch.eval_term(start_rep, r.body, reg)
         assert repsearch.op_norm(val) < 1e-6
+
+
+def test_unconverged_bound_context_is_noted(reg):
+    # x = y/2, y = x/2 halves both caps on every absorption pass
+    g = NormedSet()
+    g.add("x", XS(1))
+    g.add("y", XS(1))
+    x, y = gen_nf("x"), gen_nf("y")
+    p = Presentation("unital", g, (
+        Relation("rx", x - y * Fraction(1, 2), "axiom"),
+        Relation("ry", y - x * Fraction(1, 2), "axiom")))
+    move = AddGenerators((("z", XS(1), x),))
+    _, rep = apply_move(p, move, "strict", reg)
+    assert rep.status == "ok"
+    assert any("addgen z: bound context not converged" in n
+               for n in rep.notes)
+    _, rep = apply_move(sa_pres(), move, "strict", reg)
+    assert not any("not converged" in n for n in rep.notes)
