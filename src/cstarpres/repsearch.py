@@ -5,7 +5,10 @@ homomorphically; function-call atoms go through the eigendecomposition of
 the symmetrized argument (entire functions through the matrix
 exponential).  On top of evaluation sit a seeded penalized feasibility
 search, a redundancy refuter, and a norm lower-bound witness search.
-The search's gradient is reverse mode through every atom: divided
+Terms are compiled once into plans of complex coefficients and atoms,
+and evaluated on stacks of assignments, so a search runs all its
+restarts as one Adam.  The search's gradient is reverse mode through
+every atom, reusing the products of the forward pass: divided
 differences of the scalar function for spectral calls (Daleckii-Krein)
 and the Frechet derivative of the matrix exponential for entire ones.
 None of this is trusted by the symbolic kernel: a witness refutes, a
@@ -14,11 +17,12 @@ failed search proves nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .terms import ADJ, GEN, NF, UNIT
+from .terms import ADJ, CALL, GEN, NF, UNIT
 from .presentation import Presentation
 
 
@@ -76,80 +80,235 @@ def _clamp(vals, window: tuple[float | None, float | None]):
     return vals
 
 
-def _call_eval(atom, rep: MatrixRep, registry, diag: EvalDiag,
-               strict_herm: bool) -> np.ndarray:
-    fn = registry.function(atom.sym)
-    if fn is None:
-        raise EvalError("unknown function symbol %r" % atom.sym)
-    a = eval_term(rep, atom.arg, registry, diag, strict_herm)
-    if fn.domain == "entire":
-        return _entire_eval(atom.sym, a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    err = float(np.linalg.norm(a - a.conj().T)) / scale
-    if err > diag.herm_err:
-        diag.herm_err = err
-    if strict_herm and err > HERM_TOL:
-        raise EvalError("argument of %s is not Hermitian (relative "
-                        "asymmetry %.3g)" % (atom.sym, err))
-    h = (a + a.conj().T) / 2
-    vals, vecs = np.linalg.eigh(h)
-    clamped = _clamp(vals, fn.clamp_window(atom.params))
-    drift = float(np.max(np.abs(clamped - vals))) if len(vals) else 0.0
-    if drift > diag.clamp:
-        diag.clamp = drift
-    params = tuple(float(p) for p in atom.params)
-    fv = np.array([fn.scalar_fn(float(v), params) for v in clamped])
-    return (vecs * fv) @ vecs.conj().T
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+# -- compiled evaluation ---------------------------------------------------------
+#
+# A term compiles to a plan: one (complex coefficient, atoms) pair per
+# monomial, where an atom is (GEN, sym), (ADJ, sym) or (CALL, _Call).
+# Equal call atoms share one _Call, so a forward pass evaluates each once.
+# Matrices are stacks of shape (R, d, d), one slice per assignment.
+
+class _Call:
+    """A function-call atom: its function, float parameters and compiled
+    argument."""
+
+    __slots__ = ("sym", "entire", "scalar", "window", "arg")
+
+    def __init__(self, atom, registry, flavor: str, calls: dict):
+        fn = registry.function(atom.sym)
+        if fn is None:
+            raise EvalError("unknown function symbol %r" % atom.sym)
+        self.sym = atom.sym
+        self.entire = fn.domain == "entire"
+        self.window = fn.clamp_window(atom.params)
+        params = tuple(float(p) for p in atom.params)
+        window = self.window
+
+        def scalar(t):
+            return fn.scalar_fn(float(_clamp(t, window)), params)
+        self.scalar = scalar
+        self.arg = _compile(atom.arg, registry, flavor, calls)
+
+
+def _compile(t: NF, registry, flavor: str, calls: dict) -> list:
+    plan = []
+    for mono, c in t.items():
+        if mono == UNIT and flavor == "nonunital":
+            raise EvalError("unit monomial under a non-unital assignment")
+        atoms = []
+        for atom in mono:
+            if atom.kind == CALL:
+                call = calls.get(atom)
+                if call is None:
+                    call = calls[atom] = _Call(atom, registry, flavor, calls)
+                atoms.append((CALL, call))
+            else:
+                atoms.append((atom.kind, atom.sym))
+        plan.append((complex(c), tuple(atoms)))
+    return plan
+
+
+class _Taped:
+    """A call atom's value on the stack, with what its pullback needs."""
+
+    __slots__ = ("value", "arg", "arg_tape", "vecs", "vh", "delta")
+
+
+class _Pass:
+    """One forward evaluation of compiled terms on a stack of assignments.
+
+    `eval` returns a term's value and its tape: the factors and prefix
+    products of every monomial.  Call atoms are evaluated once per pass
+    and kept, so `backward` reuses every product the forward pass made.
+    """
+
+    def __init__(self, assign: dict, d: int, diag: EvalDiag | None = None,
+                 strict_herm: bool = False):
+        self.assign = assign  # symbol -> (R, d, d)
+        self.rows = len(next(iter(assign.values()))) if assign else 1
+        self.d = d
+        self.diag = diag
+        self.strict_herm = strict_herm
+        self.adjoints = {}
+        self.calls = {}
+
+    def _matrix(self, kind: str, x):
+        if kind == GEN:
+            return self.assign[x]
+        if kind == ADJ:
+            m = self.adjoints.get(x)
+            if m is None:
+                m = self.adjoints[x] = _ct(self.assign[x])
+            return m
+        return self._call(x).value
+
+    def eval(self, plan: list):
+        out = np.zeros((self.rows, self.d, self.d), dtype=complex)
+        tape = []
+        for c, atoms in plan:
+            mats = [self._matrix(kind, x) for kind, x in atoms]
+            pre = [None]
+            for m in mats:
+                pre.append(m if pre[-1] is None else pre[-1] @ m)
+            acc = np.eye(self.d, dtype=complex) if not mats else pre[-1]
+            out = out + c * acc
+            tape.append((c, atoms, mats, pre))
+        return out, tape
+
+    def _call(self, call: _Call) -> _Taped:
+        rec = self.calls.get(call)
+        if rec is not None:
+            return rec
+        rec = self.calls[call] = _Taped()
+        a, rec.arg_tape = self.eval(call.arg)
+        if call.entire:
+            rec.arg = a
+            rec.value = _entire_eval(call.sym, a)
+            return rec
+        if self.diag is not None or self.strict_herm:
+            self._check_herm(call, a)
+        vals, vecs = np.linalg.eigh((a + _ct(a)) / 2)
+        fv = np.array([[call.scalar(v) for v in row] for row in vals])
+        rec.vecs, rec.vh = vecs, _ct(vecs)
+        rec.delta = np.stack([_divided_differences(call.scalar, v, f)
+                              for v, f in zip(vals, fv)])
+        rec.value = (vecs * fv[:, None, :]) @ rec.vh
+        if self.diag is not None and self.d:
+            drift = float(np.max(np.abs(_clamp(vals, call.window) - vals)))
+            self.diag.clamp = max(self.diag.clamp, drift)
+        return rec
+
+    def _check_herm(self, call: _Call, a: np.ndarray):
+        for m in a:
+            scale = max(1.0, float(np.linalg.norm(m)))
+            err = float(np.linalg.norm(m - m.conj().T)) / scale
+            if self.diag is not None and err > self.diag.herm_err:
+                self.diag.herm_err = err
+            if self.strict_herm and err > HERM_TOL:
+                raise EvalError("argument of %s is not Hermitian (relative "
+                                "asymmetry %.3g)" % (call.sym, err))
+
+    def backward(self, tape: list, upstream: np.ndarray, grads: dict):
+        """Add the adjoint of d eval(term) applied to upstream into grads.
+
+        With upstream = d f / d conj(eval(term)), this adds d f / d conj(X)
+        (Wirtinger) to grads[X] for each generator X.  A call atom pulls
+        its adjoint back through its taped value and recurses into its
+        argument's tape.
+        """
+        up_h = None
+        for c, atoms, mats, pre in tape:
+            n = len(atoms)
+            suf = [None] * (n + 1)  # suf[k] = mats[k] @ ... @ mats[n-1]
+            for k in range(n - 1, 0, -1):
+                suf[k] = mats[k] if suf[k + 1] is None else mats[k] @ suf[k + 1]
+            for k, (kind, x) in enumerate(atoms):
+                left, right = pre[k], suf[k + 1]
+                if kind == ADJ:
+                    if up_h is None:
+                        up_h = _ct(upstream)
+                    t = up_h if right is None else right @ up_h
+                    if left is not None:
+                        t = t @ left
+                    grads[x] += c * t
+                    continue
+                t = upstream if left is None else _ct(left) @ upstream
+                if right is not None:
+                    t = t @ _ct(right)
+                t = c.conjugate() * t
+                if kind == GEN:
+                    grads[x] += t
+                else:
+                    rec = self._call(x)
+                    self.backward(rec.arg_tape, self._pullback(x, rec, t),
+                                  grads)
+
+    @staticmethod
+    def _pullback(call: _Call, rec: _Taped, bar: np.ndarray) -> np.ndarray:
+        """Map the adjoint of a call's value to the adjoint of its argument."""
+        if call.entire:
+            return _entire_pullback(call.sym, rec.arg, bar)
+        vecs, vh = rec.vecs, rec.vh
+        hbar = vecs @ (rec.delta * (vh @ bar @ vecs)) @ vh
+        return (hbar + _ct(hbar)) / 2
 
 
 def eval_term(rep: MatrixRep, t: NF, registry, diag: EvalDiag | None = None,
               strict_herm: bool = True) -> np.ndarray:
     """Homomorphic evaluation of a normal form under the assignment."""
-    if diag is None:
-        diag = EvalDiag()
-    d = rep.dim
-    out = np.zeros((d, d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for mono, c in t.items():
-        if mono == UNIT and rep.flavor == "nonunital":
-            raise EvalError("unit monomial under a non-unital assignment")
-        acc = eye
-        for atom in mono:
-            if atom.kind == GEN:
-                m = rep.assign[atom.sym]
-            elif atom.kind == ADJ:
-                m = rep.assign[atom.sym].conj().T
-            else:
-                m = _call_eval(atom, rep, registry, diag, strict_herm)
-            acc = acc @ m
-        out = out + complex(c) * acc
-    return out
+    plan = _compile(t, registry, rep.flavor, {})
+    stack = {s: np.asarray(m)[None] for s, m in rep.assign.items()}
+    value, _ = _Pass(stack, rep.dim, diag or EvalDiag(), strict_herm).eval(plan)
+    return value[0]
 
 
 def op_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _frobenius(m: np.ndarray) -> list[float]:
+    """Frobenius norm of each matrix in a stack, computed slice by slice
+    the way np.linalg.norm computes it; a vectorised sum of squares is not
+    bitwise equal to that."""
+    x = m.reshape(len(m), -1)
+    return [math.sqrt(re.dot(re) + im.dot(im))
+            for re, im in zip(x.real, x.imag)]
 
 
 # -- parameter packing ---------------------------------------------------------
 
-def _pack(rep: MatrixRep, syms: list[str]) -> np.ndarray:
-    parts = []
-    for s in syms:
-        m = rep.assign[s]
-        parts.append(m.real.ravel())
-        parts.append(m.imag.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+def _assign(theta: np.ndarray, syms: list[str], d: int) -> dict:
+    """Matrices of a stack of parameter rows, (R, n) -> symbol -> (R, d, d)."""
+    rows, n = len(theta), d * d
+    out = {}
+    for i, s in enumerate(syms):
+        re = theta[:, 2 * i * n:(2 * i + 1) * n].reshape(rows, d, d)
+        im = theta[:, (2 * i + 1) * n:(2 * i + 2) * n].reshape(rows, d, d)
+        out[s] = re + 1j * im
+    return out
 
 
 def _unpack(theta: np.ndarray, syms: list[str], d: int,
             flavor: str) -> MatrixRep:
-    assign = {}
-    n = d * d
-    for i, s in enumerate(syms):
-        re = theta[2 * i * n:(2 * i + 1) * n].reshape(d, d)
-        im = theta[(2 * i + 1) * n:(2 * i + 2) * n].reshape(d, d)
-        assign[s] = re + 1j * im
-    return MatrixRep(d, assign, flavor)
+    return MatrixRep(d, {s: m[0] for s, m in
+                         _assign(theta[None], syms, d).items()}, flavor)
+
+
+def _start(caps: list[float], d: int, seed: int, idx: int) -> np.ndarray:
+    """Start point of restart idx, drawn from its own (seed, idx) stream."""
+    rng = np.random.default_rng((seed, idx))
+    parts = []
+    for cap in caps:
+        scale = (cap if cap > 0 else 1.0) * 0.5 / max(1.0, d ** 0.5)
+        m = scale * (rng.standard_normal((d, d))
+                     + 1j * rng.standard_normal((d, d)))
+        parts.append(m.real.ravel())
+        parts.append(m.imag.ravel())
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 # -- residuals and objective ----------------------------------------------------
@@ -194,193 +353,126 @@ def _divided_differences(g, vals: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return delta
 
 
+def _frechet_exp(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Frechet derivative L_exp(m, e) on a stack: the upper-right block of
+    expm([[m, e], [0, m]])."""
+    from scipy.linalg import expm
+    rows, d = m.shape[0], m.shape[-1]
+    block = np.zeros((rows, 2 * d, 2 * d), dtype=complex)
+    block[:, :d, :d] = m
+    block[:, d:, d:] = m
+    block[:, :d, d:] = e
+    return expm(block)[:, :d, d:]
+
+
 def _entire_pullback(sym: str, a: np.ndarray, bar: np.ndarray) -> np.ndarray:
     """Adjoint of the Frechet derivative of sym at a, applied to bar.
 
     The adjoint of L_exp(A, .) is L_exp(A^H, .); sin and cos combine the
     exponentials of +-iA as in _entire_eval.
     """
-    from scipy.linalg import expm_frechet
-
-    ah = a.conj().T
-
-    def frechet(m):
-        return expm_frechet(m, bar, compute_expm=False)
+    ah = _ct(a)
     if sym == "exp":
-        return frechet(ah)
+        return _frechet_exp(ah, bar)
     if sym == "sin":
-        return (frechet(-1j * ah) + frechet(1j * ah)) / 2
+        return (_frechet_exp(-1j * ah, bar) + _frechet_exp(1j * ah, bar)) / 2
     # cos: _entire_eval has rejected every other symbol
-    return (1j * frechet(1j * ah) - 1j * frechet(-1j * ah)) / 2
+    return (1j * _frechet_exp(1j * ah, bar)
+            - 1j * _frechet_exp(-1j * ah, bar)) / 2
 
 
-def _call_vjp(atom, rep: MatrixRep, registry):
-    """Value of a call atom and the map from its adjoint to its argument's."""
-    fn = registry.function(atom.sym)
-    if fn is None:
-        raise EvalError("unknown function symbol %r" % atom.sym)
-    a = eval_term(rep, atom.arg, registry, strict_herm=False)
-    if fn.domain == "entire":
-        return (_entire_eval(atom.sym, a),
-                lambda bar: _entire_pullback(atom.sym, a, bar))
-    window = fn.clamp_window(atom.params)
-    params = tuple(float(p) for p in atom.params)
+class _Objective:
+    """The penalized search objective of one presentation, compiled once.
 
-    def g(t):
-        return fn.scalar_fn(float(_clamp(t, window)), params)
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    fv = np.array([g(v) for v in vals])
-    delta = _divided_differences(g, vals, fv)
-    vh = vecs.conj().T
-
-    def pullback(bar):
-        hbar = vecs @ (delta * (vh @ bar @ vecs)) @ vh
-        return (hbar + hbar.conj().T) / 2
-    return (vecs * fv) @ vh, pullback
-
-
-def _backward(body: NF, upstream: np.ndarray, rep: MatrixRep, registry,
-              grads: dict):
-    """Add the adjoint of d eval(body) applied to upstream into grads.
-
-    With upstream = d f / d conj(eval(body)), this adds d f / d conj(X)
-    (Wirtinger) to grads[X] for each generator X.  A call atom passes its
-    adjoint through _call_vjp and recurses into its argument.
+    Maps a stack of parameter rows (R, n) to the objective of each row
+    and its gradient: squared relation residuals plus the penalized cap
+    excesses, minus the weighted square of the reward term's norm.
     """
-    d = rep.dim
-    eye = np.eye(d, dtype=complex)
-    for mono, c in body.items():
-        mats, pulls = [], {}
-        for k, atom in enumerate(mono):
-            if atom.kind == GEN:
-                mats.append(rep.assign[atom.sym])
-            elif atom.kind == ADJ:
-                mats.append(rep.assign[atom.sym].conj().T)
-            else:
-                value, pulls[k] = _call_vjp(atom, rep, registry)
-                mats.append(value)
-        # prefixes and suffixes around each position
-        n = len(mono)
-        pre = [eye]
-        for k in range(n):
-            pre.append(pre[-1] @ mats[k])
-        suf = [eye]
-        for k in range(n - 1, -1, -1):
-            suf.append(mats[k] @ suf[-1])
-        suf.reverse()
-        cc = complex(c)
-        for k, atom in enumerate(mono):
-            left, right = pre[k], suf[k + 1]
-            if atom.kind == GEN:
-                grads[atom.sym] += np.conj(cc) * (
-                    left.conj().T @ upstream @ right.conj().T)
-            elif atom.kind == ADJ:
-                grads[atom.sym] += cc * (right @ upstream.conj().T @ left)
-            else:
-                bar = np.conj(cc) * (left.conj().T @ upstream @ right.conj().T)
-                _backward(atom.arg, pulls[k](bar), rep, registry, grads)
 
+    def __init__(self, p: Presentation, d: int, registry, cfg: SearchConfig,
+                 reward_term: NF | None = None):
+        self.syms = p.gens.names()
+        self.caps = [float(p.gens.norm(s)) for s in self.syms]
+        self.d = d
+        self.penalty = cfg.penalty
+        self.reward_w = cfg.reward
+        calls = {}
+        self.bodies = [_compile(r.body, registry, p.flavor, calls)
+                       for r in p.relations]
+        self.reward = (None if reward_term is None else
+                       _compile(reward_term, registry, p.flavor, calls))
 
-def _objective_and_grad(p: Presentation, theta: np.ndarray, syms: list[str],
-                        d: int, registry, cfg: SearchConfig,
-                        reward_term: NF | None, reward_w: float):
-    """Penalized objective and its gradient with respect to theta."""
-    rep = _unpack(theta, syms, d, p.flavor)
-    pairs = [(r.body, eval_term(rep, r.body, registry, strict_herm=False))
-             for r in p.relations]
-    val = sum(float(np.linalg.norm(m)) ** 2 for _, m in pairs)
-    svds = {}
-    for s in syms:
-        u, sv, vh = np.linalg.svd(rep.assign[s])
-        svds[s] = (u, sv, vh)
-        exc = max(0.0, sv[0] - float(p.gens.norm(s)))
-        val += cfg.penalty * exc * exc
-    qmat = None
-    if reward_term is not None:
-        qmat = eval_term(rep, reward_term, registry, strict_herm=False)
-        val -= reward_w * float(np.linalg.norm(qmat)) ** 2
-    grads = {s: np.zeros((d, d), dtype=complex) for s in syms}
-    for body, m in pairs:
-        _backward(body, m, rep, registry, grads)
-    for s in syms:
-        u, sv, vh = svds[s]
-        exc = max(0.0, sv[0] - float(p.gens.norm(s)))
-        if exc > 0.0:
-            grads[s] += cfg.penalty * exc * np.outer(u[:, 0], vh[0])
-    if reward_term is not None:
-        rgr = {s: np.zeros((d, d), dtype=complex) for s in syms}
-        _backward(reward_term, qmat, rep, registry, rgr)
-        for s in syms:
-            grads[s] -= reward_w * rgr[s]
-    flat = []
-    for s in syms:
-        g = grads[s]
-        flat.append(2 * g.real.ravel())
-        flat.append(2 * g.imag.ravel())
-    return val, np.concatenate(flat)
+    def __call__(self, theta: np.ndarray):
+        fwd = _Pass(_assign(theta, self.syms, self.d), self.d)
+        rows = len(theta)
+        taped = [fwd.eval(plan) for plan in self.bodies]
+        norms = [_frobenius(m) for m, _ in taped]
+        val = np.array([sum(n[i] ** 2 for n in norms) for i in range(rows)])
+        svds = []
+        for s, cap in zip(self.syms, self.caps):
+            u, sv, vh = np.linalg.svd(fwd.assign[s])
+            exc = np.maximum(0.0, sv[:, 0] - cap)
+            val = val + self.penalty * exc * exc
+            svds.append((u, vh, exc))
+        if self.reward is not None:
+            qmat, qtape = fwd.eval(self.reward)
+            val = val - self.reward_w * np.array(
+                [n ** 2 for n in _frobenius(qmat)])
+        zero = np.zeros((rows, self.d, self.d), dtype=complex)
+        grads = {s: zero.copy() for s in self.syms}
+        for m, tape in taped:
+            fwd.backward(tape, m, grads)
+        for s, (u, vh, exc) in zip(self.syms, svds):
+            hit = exc > 0.0
+            if hit.any():
+                outer = u[hit][:, :, :1] * vh[hit][:, :1, :]
+                grads[s][hit] += (self.penalty * exc[hit])[:, None, None] * outer
+        if self.reward is not None:
+            rgr = {s: zero.copy() for s in self.syms}
+            fwd.backward(qtape, qmat, rgr)
+            for s in self.syms:
+                grads[s] -= self.reward_w * rgr[s]
+        flat = []
+        for s in self.syms:
+            g = grads[s].reshape(rows, -1)
+            flat.append(2 * g.real)
+            flat.append(2 * g.imag)
+        return val, np.concatenate(flat, axis=1)
+
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        """Residual vector of one parameter row, for the least-squares
+        polish: every relation's entries, then each weighted cap excess."""
+        fwd = _Pass(_assign(theta[None], self.syms, self.d), self.d)
+        parts = []
+        for plan in self.bodies:
+            m = fwd.eval(plan)[0][0]
+            parts.append(m.real.ravel())
+            parts.append(m.imag.ravel())
+        w = self.penalty ** 0.5
+        for s, cap in zip(self.syms, self.caps):
+            exc = max(0.0, op_norm(fwd.assign[s][0]) - cap)
+            parts.append(np.array([w * exc]))
+        return np.concatenate(parts) if parts else np.zeros(1)
 
 
 def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
+    """Adam on a stack of start points, one row per restart; each row
+    keeps its own best iterate."""
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     b1, b2, eps = 0.9, 0.999, 1e-9
-    best, best_val = theta.copy(), float("inf")
+    best, best_val = theta.copy(), np.full(len(theta), np.inf)
     for k in range(1, iters + 1):
         val, g = fun_grad(theta)
-        if val < best_val:
-            best, best_val = theta.copy(), val
+        better = val < best_val
+        best[better] = theta[better]
+        best_val[better] = val[better]
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         mh = m / (1 - b1 ** k)
         vh = v / (1 - b2 ** k)
         theta = theta - lr * mh / (np.sqrt(vh) + eps)
     return best
-
-
-def _residual_vector(p: Presentation, theta: np.ndarray, syms: list[str],
-                     d: int, registry, cfg: SearchConfig) -> np.ndarray:
-    rep = _unpack(theta, syms, d, p.flavor)
-    parts = []
-    for r in p.relations:
-        m = eval_term(rep, r.body, registry, strict_herm=False)
-        parts.append(m.real.ravel())
-        parts.append(m.imag.ravel())
-    w = cfg.penalty ** 0.5
-    for s in syms:
-        exc = max(0.0, op_norm(rep.assign[s]) - float(p.gens.norm(s)))
-        parts.append(np.array([w * exc]))
-    return np.concatenate(parts) if parts else np.zeros(1)
-
-
-def _run_restart(p: Presentation, d: int, cfg: SearchConfig, registry,
-                 idx: int, reward_term: NF | None) -> MatrixRep:
-    syms = p.gens.names()
-    rng = np.random.default_rng((cfg.seed, idx))
-    assign = {}
-    for s in syms:
-        cap = float(p.gens.norm(s))
-        scale = (cap if cap > 0 else 1.0) * 0.5 / max(1.0, d ** 0.5)
-        assign[s] = scale * (rng.standard_normal((d, d))
-                             + 1j * rng.standard_normal((d, d)))
-    rep = MatrixRep(d, assign, p.flavor)
-    if not syms:
-        return rep
-    theta = _pack(rep, syms)
-
-    def fun_grad(th):
-        return _objective_and_grad(p, th, syms, d, registry, cfg,
-                                   reward_term, cfg.reward)
-
-    theta = _adam(fun_grad, theta, cfg.max_iters, cfg.lr)
-
-    if cfg.polish:
-        from scipy.optimize import least_squares
-        res = least_squares(
-            lambda th: _residual_vector(p, th, syms, d, registry, cfg),
-            theta, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=300 * max(1, len(theta)))
-        theta = res.x
-    return _unpack(theta, syms, d, p.flavor)
 
 
 @dataclass
@@ -413,6 +505,10 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
                     registry, reward_term: NF | None = None) -> SearchResult:
     """Penalized random-restart search; deterministic given cfg.seed.
 
+    Each restart draws its start point from its own (seed, index) stream.
+    One Adam runs over the stack of all start points, then each restart
+    gets its own least_squares polish and is scored on its own.
+
     Raises ValueError unless d >= 1 and cfg.restarts >= 1, so that
     `refute_redundancy` and `norm_lower_bound` never report a search that
     did not run."""
@@ -420,10 +516,21 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
         raise ValueError("dimension must be at least 1, got %d" % d)
     if cfg.restarts < 1:
         raise ValueError("restarts must be at least 1, got %d" % cfg.restarts)
+    syms = p.gens.names()
+    objective = _Objective(p, d, registry, cfg, reward_term)
+    theta = np.stack([_start(objective.caps, d, cfg.seed, idx)
+                      for idx in range(cfg.restarts)])
+    if syms:
+        theta = _adam(objective, theta, cfg.max_iters, cfg.lr)
     outcomes = []
     diag = EvalDiag()
-    for idx in range(cfg.restarts):
-        rep = _run_restart(p, d, cfg, registry, idx, reward_term)
+    for idx, th in enumerate(theta):
+        if syms and cfg.polish:
+            from scipy.optimize import least_squares
+            th = least_squares(
+                objective.residuals, th, method="trf", xtol=1e-15,
+                ftol=1e-15, gtol=1e-15, max_nfev=300 * max(1, len(th))).x
+        rep = _unpack(th, syms, d, p.flavor)
         res = relation_residuals(p, rep, registry, diag)
         exc = cap_excesses(p, rep)
         residual = max(res, default=0.0)

@@ -176,8 +176,8 @@ def _assert_gradient_matches_fd(p, q, d, reg, seed, points=3):
             return val - cfg.reward * np.linalg.norm(
                 eval_term(r, q, reg, strict_herm=False)) ** 2
 
-        _, grad = repsearch._objective_and_grad(
-            p, theta, syms, d, reg, cfg, q, cfg.reward)
+        _, grad = repsearch._Objective(p, d, reg, cfg, q)(theta[None])
+        grad = grad[0]
         fd = _fd_grad(f, theta)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad - fd) / denom < 1e-5
@@ -281,6 +281,56 @@ def test_call_free_search_trajectory_is_pinned(reg, corpus):
         p, 2, SearchConfig(restarts=2, max_iters=60, polish=False), reg)
     assert [o.residual for o in res.outcomes] == [
         0.010569778452497075, 0.022029814083569965]
+
+
+def test_call_search_trajectory_is_pinned(reg, corpus):
+    # residuals of a search through spectral calls, recorded while each
+    # restart still ran its own Adam; the batched one must reproduce them
+    # bit for bit
+    p = load_presentation(str(corpus / "left_inv_end.pres"), reg)
+    res = search_feasible(
+        p, 2, SearchConfig(restarts=2, max_iters=60, polish=False), reg)
+    assert [o.residual for o in res.outcomes] == [
+        0.05419546542064029, 0.11986814865775657]
+
+
+def _calls_presentation(reg):
+    return parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\n  y : 2\nrelations:\n"
+        "  a : sqrt(x* x) - y\n  b : exp(x) y - y* cos(x + y*)\n"
+        "  c : p(x* x - p(x + x*)) x - x\n", reg)
+
+
+def test_batched_rows_equal_single_evaluations(reg):
+    p = _calls_presentation(reg)
+    q = parse_term("y* sin(x) + p(x + x*)", p.gens, reg)
+    objective = repsearch._Objective(p, 2, reg, SearchConfig(), q)
+    theta = np.random.default_rng(3).standard_normal((3, 16))
+    theta[1] *= 0.3  # inside both caps; rows 0 and 2 pay the cap penalty
+    val, grad = objective(theta)
+    assert val.shape == (3,) and grad.shape == (3, 16)
+    for i in range(3):
+        one_val, one_grad = objective(theta[i:i + 1])
+        assert val[i] == one_val[0]
+        assert np.array_equal(grad[i], one_grad[0])
+
+
+def test_each_call_atom_evaluated_once_per_step(reg, monkeypatch):
+    # spectral call atoms: sqrt(x* x), p(x* x - p(x + x*)) and the nested
+    # p(x + x*), which the reward term shares
+    p = _calls_presentation(reg)
+    q = parse_term("y* p(x + x*)", p.gens, reg)
+    objective = repsearch._Objective(p, 2, reg, SearchConfig(), q)
+    theta = np.random.default_rng(4).standard_normal((2, 16))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    objective(theta)
+    assert calls == [(2, 2, 2)] * 3
 
 
 def test_refute_finds_witness(reg, corpus):
