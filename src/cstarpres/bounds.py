@@ -32,12 +32,12 @@ MAX_PASSES = 8
 
 
 class Ival:
-    """Closed real interval with optional infinite endpoints (None)."""
+    """Closed real interval with exact endpoints."""
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: XS | None, hi: XS | None):
-        if lo is not None and hi is not None and lo.cmp(hi) > 0:
+    def __init__(self, lo: XS, hi: XS):
+        if lo.cmp(hi) > 0:
             raise ValueError("empty interval [%s, %s]" % (lo, hi))
         self.lo = lo
         self.hi = hi
@@ -51,56 +51,37 @@ class Ival:
         return Ival(-r, r)
 
     def __add__(self, other: "Ival") -> "Ival":
-        lo = None if self.lo is None or other.lo is None else \
-            xs_add_outward(self.lo, other.lo, up=False)
-        hi = None if self.hi is None or other.hi is None else \
-            xs_add_outward(self.hi, other.hi, up=True)
-        return Ival(lo, hi)
+        return Ival(xs_add_outward(self.lo, other.lo, up=False),
+                    xs_add_outward(self.hi, other.hi, up=True))
 
     def shift(self, c: XS) -> "Ival":
         return self + Ival.point(c)
 
     def __neg__(self) -> "Ival":
-        return Ival(None if self.hi is None else -self.hi,
-                    None if self.lo is None else -self.lo)
+        return Ival(-self.hi, -self.lo)
 
     def scale(self, c: XS) -> "Ival":
         if c.sign() == 0:
             return Ival.point(_ZERO)
         if c.sign() < 0:
             return (-self).scale(-c)
-        lo = None if self.lo is None else xs_mul_outward(c, self.lo, up=False)
-        hi = None if self.hi is None else xs_mul_outward(c, self.hi, up=True)
-        return Ival(lo, hi)
+        return Ival(xs_mul_outward(c, self.lo, up=False),
+                    xs_mul_outward(c, self.hi, up=True))
 
     def intersect(self, other: "Ival") -> "Ival | None":
-        lo = self.lo if other.lo is None else \
-            (other.lo if self.lo is None else (self.lo if self.lo.cmp(other.lo) >= 0 else other.lo))
-        hi = self.hi if other.hi is None else \
-            (other.hi if self.hi is None else (self.hi if self.hi.cmp(other.hi) <= 0 else other.hi))
-        if lo is not None and hi is not None and lo.cmp(hi) > 0:
+        lo = self.lo if self.lo.cmp(other.lo) >= 0 else other.lo
+        hi = self.hi if self.hi.cmp(other.hi) <= 0 else other.hi
+        if lo.cmp(hi) > 0:
             return None
         return Ival(lo, hi)
 
     def hull(self, other: "Ival") -> "Ival":
-        lo = None if self.lo is None or other.lo is None else \
-            (self.lo if self.lo.cmp(other.lo) <= 0 else other.lo)
-        hi = None if self.hi is None or other.hi is None else \
-            (self.hi if self.hi.cmp(other.hi) >= 0 else other.hi)
-        return Ival(lo, hi)
+        return Ival(self.lo if self.lo.cmp(other.lo) <= 0 else other.lo,
+                    self.hi if self.hi.cmp(other.hi) >= 0 else other.hi)
 
-    def max_abs(self) -> XS | None:
-        if self.lo is None or self.hi is None:
-            return None
+    def max_abs(self) -> XS:
         a, b = abs(self.lo), abs(self.hi)
         return a if a.cmp(b) >= 0 else b
-
-    def contains(self, v: float, slack: float = 0.0) -> bool:
-        if self.lo is not None and v < float(self.lo) - slack:
-            return False
-        if self.hi is not None and v > float(self.hi) + slack:
-            return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, Ival):
@@ -111,22 +92,18 @@ class Ival:
         return hash((self.lo, self.hi))
 
     def __repr__(self):
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "+inf" if self.hi is None else str(self.hi)
-        return "[%s, %s]" % (lo, hi)
+        return "[%s, %s]" % (self.lo, self.hi)
 
 
 class Context:
     """Bounding context: caps plus facts harvested from ambient relations.
 
     `interval` and `norm_bound` answers are memoised per context, keyed on
-    the term and the recursion flags, and the memo is cleared whenever a
-    fact changes value, so every cached answer was computed under the
-    facts in force.  `version` counts those changes; `rounds` and
-    `converged` describe the absorption fixpoint of
-    `context_from_relations`; `stats` counts memo hits, uncached
-    evaluations and the `_depth` cut-offs that fell back to the triangle
-    bound.
+    the term, and the memo is cleared whenever a fact changes value, so
+    every cached answer was computed under the facts in force.  `version`
+    counts those changes; `rounds` and `converged` describe the absorption
+    fixpoint of `context_from_relations`; `stats` counts memo hits and
+    uncached evaluations.
     """
 
     def __init__(self, gens: NormedSet, registry):
@@ -140,9 +117,7 @@ class Context:
         self.version = 0
         self.rounds = 0
         self.converged = True
-        self.stats = {"memo_hits": 0, "evaluations": 0,
-                      "interval_depth_cutoffs": 0,
-                      "norm_bound_depth_cutoffs": 0}
+        self.stats = {"memo_hits": 0, "evaluations": 0}
         self._memo: dict[tuple, object] = {}
 
     def _changed(self):
@@ -273,72 +248,67 @@ def _homogeneous_square(t: NF, ctx: Context) -> bool:
 
 
 # -- norm bounds and intervals ---------------------------------------------
+#
+# The recursion is structural: `norm_bound(t)` asks only for `interval(t)`
+# and `interval(t* t)`, and every other call back into `norm_bound` or
+# `interval` takes the argument of a call atom, a strict subterm.
 
-def _memoised(fn, t: NF, ctx: Context, *flags):
-    key = (fn, t, flags)
+def _memoised(fn, t: NF, ctx: Context):
+    key = (fn, t)
     got = ctx._memo.get(key)
     if got is not None:
         ctx.stats["memo_hits"] += 1
         return got
     ctx.stats["evaluations"] += 1
-    got = ctx._memo[key] = fn(t, ctx, *flags)
+    got = ctx._memo[key] = fn(t, ctx)
     return got
 
 
-def _nb_atom(a: Atom, ctx: Context, depth: int) -> XS:
+def _nb_atom(a: Atom, ctx: Context) -> XS:
     if a.kind in (GEN, ADJ):
         return ctx.cap(a.sym)
     fn = ctx.registry.function(a.sym)
     if fn.domain == "entire" and not is_sa_mod(a.arg, ctx):
-        return fn.norm_majorant(norm_bound(a.arg, ctx, _square=False, _depth=depth + 1), a.params)
-    iv = fn.range_on(interval(a.arg, ctx, _depth=depth + 1), a.params)
-    r = iv.max_abs()
-    if r is None:  # pragma: no cover - builtin range maps are bounded
-        return fn.norm_majorant(norm_bound(a.arg, ctx, _square=False, _depth=depth + 1), a.params)
-    return r
+        return fn.norm_majorant(norm_bound(a.arg, ctx), a.params)
+    return fn.range_on(interval(a.arg, ctx), a.params).max_abs()
 
 
-def _nb_mono(m: Monomial, ctx: Context, depth: int) -> XS:
+def _nb_mono(m: Monomial, ctx: Context) -> XS:
     out = XS(1)
     for a in m:
-        out = xs_mul_outward(out, _nb_atom(a, ctx, depth), up=True)
+        out = xs_mul_outward(out, _nb_atom(a, ctx), up=True)
     return out
 
 
-def _triangle(t: NF, ctx: Context, depth: int) -> XS:
+def _triangle(t: NF, ctx: Context) -> XS:
     out = XS(0)
     for m, c in t.items():
-        out = xs_add_outward(out, xs_mul_outward(c.abs_xs(), _nb_mono(m, ctx, depth), up=True), up=True)
+        out = xs_add_outward(out, xs_mul_outward(c.abs_xs(), _nb_mono(m, ctx), up=True), up=True)
     return out
 
 
-def norm_bound(t: NF, ctx: Context, _square: bool = True, _depth: int = 0) -> XS:
+def norm_bound(t: NF, ctx: Context) -> XS:
     """Sound upper bound on the universal norm of t under ctx."""
-    return _memoised(_norm_bound, t, ctx, _square, _depth)
+    return _memoised(_norm_bound, t, ctx)
 
 
-def _norm_bound(t: NF, ctx: Context, _square: bool, _depth: int) -> XS:
+def _norm_bound(t: NF, ctx: Context) -> XS:
     t = sa_normalize(t, ctx)
-    best = _triangle(t, ctx, _depth)
-    if _depth >= 8:
-        ctx.stats["norm_bound_depth_cutoffs"] += 1
-    elif is_sa_mod(t, ctx):
-        iv = interval(t, ctx, _depth=_depth + 1)
-        r = iv.max_abs()
-        if r is not None and r.cmp(best) < 0:
+    best = _triangle(t, ctx)
+    if is_sa_mod(t, ctx):
+        r = interval(t, ctx).max_abs()
+        if r.cmp(best) < 0:
             best = r
-    if _square and len(t) <= 8 and _depth < 8:
+    if len(t) <= 8:
         sq = star(t, ctx.registry.entire_fns) * t
         if len(sq) <= 64:
-            iv = interval(sq, ctx, _depth=_depth + 1)
-            if iv.hi is not None:
-                r = iv.hi.sqrt_outward(up=True)
-                if r.cmp(best) < 0:
-                    best = r
+            r = interval(sq, ctx).hi.sqrt_outward(up=True)
+            if r.cmp(best) < 0:
+                best = r
     return best
 
 
-def _mono_interval(m: Monomial, ctx: Context, depth: int) -> Ival:
+def _mono_interval(m: Monomial, ctx: Context) -> Ival:
     """Enclosure for a monomial fixed by the (sa-modified) involution."""
     if len(m) == 0:
         return Ival.point(XS(1))
@@ -351,45 +321,41 @@ def _mono_interval(m: Monomial, ctx: Context, depth: int) -> Ival:
             return got if got is not None else iv
         if a.kind == CALL:
             fn = ctx.registry.function(a.sym)
-            return fn.range_on(interval(a.arg, ctx, _depth=depth + 1), a.params)
-        return Ival.sym(_nb_atom(a, ctx, depth))
+            return fn.range_on(interval(a.arg, ctx), a.params)
+        return Ival.sym(_nb_atom(a, ctx))
     # palindromic splits: m = w* v w with v self-adjoint (possibly empty)
     for k in range(len(m) // 2, 0, -1):
         if m[:k] == _star_mod(m[-k:], ctx):
-            b = _nb_mono(m[-k:], ctx, depth)
+            b = _nb_mono(m[-k:], ctx)
             b2 = xs_mul_outward(b, b, up=True)
             mid = m[k:len(m) - k]
             if len(mid) == 0:
                 return Ival(XS(0), b2)
             if _star_mod(mid, ctx) == mid:
-                iv = _mono_interval(mid, ctx, depth + 1)
-                if iv.lo is not None and iv.hi is not None:
-                    lo = _ZERO if iv.lo.sign() >= 0 else xs_mul_outward(iv.lo, b2, up=False)
-                    hi = _ZERO if iv.hi.sign() <= 0 else xs_mul_outward(iv.hi, b2, up=True)
-                    return Ival(lo, hi)
+                iv = _mono_interval(mid, ctx)
+                lo = _ZERO if iv.lo.sign() >= 0 else xs_mul_outward(iv.lo, b2, up=False)
+                hi = _ZERO if iv.hi.sign() <= 0 else xs_mul_outward(iv.hi, b2, up=True)
+                return Ival(lo, hi)
             break
-    r = _nb_mono(m, ctx, depth)
+    r = _nb_mono(m, ctx)
     return Ival.sym(r)
 
 
-def interval(t: NF, ctx: Context, _depth: int = 0) -> Ival:
+def interval(t: NF, ctx: Context) -> Ival:
     """Sound enclosure of the universal spectrum of a self-adjoint t.
 
     For terms that are not structurally self-adjoint (modulo declared
     facts) this degrades to the symmetric norm ball, which is still a
     sound enclosure of the real part of any spectral value.
     """
-    return _memoised(_interval, t, ctx, _depth)
+    return _memoised(_interval, t, ctx)
 
 
-def _interval(t: NF, ctx: Context, _depth: int) -> Ival:
+def _interval(t: NF, ctx: Context) -> Ival:
     t = sa_normalize(t, ctx)
     if t.is_zero:
         return Ival.point(_ZERO)
-    if _depth > 16:
-        ctx.stats["interval_depth_cutoffs"] += 1
-        return Ival.sym(_triangle(t, ctx, _depth))
-    out = Ival.sym(_triangle(t, ctx, _depth))
+    out = Ival.sym(_triangle(t, ctx))
 
     c0 = t.scalar_part()
     if not c0.is_real:
@@ -397,9 +363,11 @@ def _interval(t: NF, ctx: Context, _depth: int) -> Ival:
     c0x = XS(c0.re)
     body = t - c0
 
-    # element facts, up to a scalar shift
+    # element facts, up to a scalar shift; a key was normalised when its
+    # fact was absorbed, and symbols declared self-adjoint since then
+    # must be normalised here too
     for key, iv in ctx.elem_facts:
-        diff = (t - key).as_scalar()
+        diff = (t - sa_normalize(key, ctx)).as_scalar()
         if diff is not None and diff.is_real:
             got = out.intersect(iv.shift(XS(diff.re)))
             if got is not None:
@@ -411,7 +379,7 @@ def _interval(t: NF, ctx: Context, _depth: int) -> Ival:
 
     # homogeneous sum-of-squares: body (or -body) PSD as a Gram form
     if is_sa_mod(body, ctx):
-        nb_body = _triangle(body, ctx, _depth)
+        nb_body = _triangle(body, ctx)
         if _homogeneous_square(body, ctx):
             got = out.intersect(Ival(c0x, xs_add_outward(c0x, nb_body, up=True)))
             if got is not None:
@@ -434,14 +402,14 @@ def _interval(t: NF, ctx: Context, _depth: int) -> Ival:
                 ok = False
                 break
             seen.add(m)
-            acc = acc + _mono_interval(m, ctx, _depth).scale(XS(c.re))
+            acc = acc + _mono_interval(m, ctx).scale(XS(c.re))
         else:
             if sm not in body or body[sm] != c.conj():
                 ok = False
                 break
             seen.add(m)
             seen.add(sm)
-            r = xs_mul_outward(XS(2) * c.abs_xs(), _nb_mono(m, ctx, _depth), up=True)
+            r = xs_mul_outward(XS(2) * c.abs_xs(), _nb_mono(m, ctx), up=True)
             acc = acc + Ival.sym(r)
     if ok:
         got = out.intersect(acc)
@@ -506,7 +474,7 @@ def _absorb_relation(body: NF, ctx: Context):
         t_def = (nf_coerce(c) * NF({(Atom(GEN, s),): Coeff.ONE}) - body) * (Coeff.ONE / c)
         if s in t_def.symbols():
             continue
-        ctx.tighten_cap(s, norm_bound(t_def, ctx, _square=True))
+        ctx.tighten_cap(s, norm_bound(t_def, ctx))
         if is_sa_mod(t_def, ctx):
             ctx.declare_sa(s)
             ctx.tighten_sym(s, interval(t_def, ctx))

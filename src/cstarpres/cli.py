@@ -269,10 +269,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="replay a derivation script")
     sp.add_argument("derivation", help=".drv script file")
-    sp.add_argument("--strict", action="store_true", default=False,
-                    help="strict mode (default)")
-    sp.add_argument("--permissive", action="store_true",
-                    help="allow gaps, report them")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--strict", action="store_true", default=False,
+                      help="strict mode (default)")
+    mode.add_argument("--permissive", action="store_true",
+                      help="allow gaps, report them")
     sp.add_argument("--no-schemas", action="store_true",
                     help="check without the lemma-schema registry")
     common(sp, presentation=False)

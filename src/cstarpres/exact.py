@@ -104,10 +104,6 @@ class XS:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def rational(q: Rat) -> "XS":
-        return XS(q)
-
-    @staticmethod
     def sqrt_of(q: Rat) -> "XS":
         """Exact sqrt of a nonnegative rational, as an XS value."""
         q = Fraction(q)

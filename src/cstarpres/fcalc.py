@@ -64,48 +64,24 @@ class FunctionSymbol:
     name: str
     n_params: int
     domain: str  # 'selfadjoint' | 'positive' | 'entire'
-    range_fn: Callable[[Ival, tuple[XS, ...]], Ival]
-    exact_fn: Callable[[Coeff, tuple[XS, ...]], Coeff | None]
+    range_on: Callable[[Ival, tuple[XS, ...]], Ival]
+    exact_value: Callable[[Coeff, tuple[XS, ...]], Coeff | None]
     scalar_fn: Callable[[float, tuple[float, ...]], float]
-    window_fn: Callable[[tuple[XS, ...]], tuple[XS | None, XS | None]] = \
+    domain_window: Callable[[tuple[XS, ...]], tuple[XS | None, XS | None]] = \
         lambda params: (None, None)
-    majorant_fn: Callable[[XS, tuple[XS, ...]], XS] | None = None
-    param_check: Callable[[tuple[XS, ...]], None] = lambda params: None
-
-    def range_on(self, iv: Ival, params: tuple[XS, ...]) -> Ival:
-        return self.range_fn(iv, params)
-
-    def exact_value(self, v: Coeff, params: tuple[XS, ...]) -> Coeff | None:
-        return self.exact_fn(v, params)
-
-    def norm_majorant(self, nb: XS, params: tuple[XS, ...]) -> XS:
-        if self.majorant_fn is not None:
-            return self.majorant_fn(nb, params)
-        iv = self.range_on(Ival(-nb, nb), params)
-        r = iv.max_abs()
-        if r is None:
-            raise ValueError("no norm majorant for %s" % self.name)
-        return r
-
-    def domain_window(self, params: tuple[XS, ...]) -> tuple[XS | None, XS | None]:
-        return self.window_fn(params)
-
-    def validate_params(self, params: tuple[XS, ...]):
-        self.param_check(params)
+    # bound on ||f(a)|| from a bound on ||a||; entire symbols only
+    norm_majorant: Callable[[XS, tuple[XS, ...]], XS] | None = None
+    validate_params: Callable[[tuple[XS, ...]], None] = lambda params: None
 
     def clamp_window(self, params: tuple[XS, ...]) -> tuple[float | None, float | None]:
-        lo, hi = self.window_fn(params)
+        lo, hi = self.domain_window(params)
         return (None if lo is None else float(lo),
                 None if hi is None else float(hi))
 
 
 def _p_range(iv: Ival, params) -> Ival:
-    lo = XS(0)
-    if iv.lo is not None and iv.lo.sign() > 0:
-        lo = iv.lo
-    hi = iv.hi
-    if hi is not None and hi.sign() < 0:
-        hi = XS(0)
+    lo = iv.lo if iv.lo.sign() > 0 else XS(0)
+    hi = XS(0) if iv.hi.sign() < 0 else iv.hi
     return Ival(lo, hi)
 
 
@@ -116,11 +92,8 @@ def _p_exact(v: Coeff, params) -> Coeff | None:
 
 
 def _sqrt_range(iv: Ival, params) -> Ival:
-    lo = XS(0)
-    if iv.lo is not None and iv.lo.sign() > 0:
-        lo = iv.lo.sqrt_outward(up=False)
-    hi = None if iv.hi is None else \
-        (XS(0) if iv.hi.sign() < 0 else iv.hi.sqrt_outward(up=True))
+    lo = iv.lo.sqrt_outward(up=False) if iv.lo.sign() > 0 else XS(0)
+    hi = XS(0) if iv.hi.sign() < 0 else iv.hi.sqrt_outward(up=True)
     return Ival(lo, hi)
 
 
@@ -139,11 +112,8 @@ def _inv_check(params: tuple[XS, ...]):
 
 def _inv_range(iv: Ival, params) -> Ival:
     (m,) = params
-    lo = iv.lo if iv.lo is not None and iv.lo.cmp(m) > 0 else m
-    hi = iv.hi
-    out_hi = lo.inverse()
-    out_lo = XS(0) if hi is None else hi.inverse()
-    return Ival(out_lo, out_hi)
+    lo = iv.lo if iv.lo.cmp(m) > 0 else m
+    return Ival(iv.hi.inverse(), lo.inverse())
 
 
 def _inv_exact(v: Coeff, params) -> Coeff | None:
@@ -175,8 +145,8 @@ def _fparam_g(nu: XS, s: XS) -> XS:
 def _fparam_range(iv: Ival, params) -> Ival:
     (lam,) = params
     s = _fparam_breakpoint(lam)
-    lo = iv.lo if iv.lo is not None and iv.lo.sign() > 0 else XS(0)
-    hi = iv.hi if iv.hi is not None and iv.hi.cmp(XS(1)) < 0 else XS(1)
+    lo = iv.lo if iv.lo.sign() > 0 else XS(0)
+    hi = iv.hi if iv.hi.cmp(XS(1)) < 0 else XS(1)
     if hi.cmp(lo) < 0:
         hi = lo
     out: Ival | None = None
@@ -215,11 +185,8 @@ def _fparam_scalar(t: float, params: tuple[float, ...]) -> float:
 
 
 def _exp_range(iv: Ival, params) -> Ival:
-    lo = XS(0)
-    if iv.lo is not None:
-        lo = XS(exp_bounds(iv.lo.lower())[0])
-    hi = None if iv.hi is None else XS(exp_bounds(iv.hi.upper())[1])
-    return Ival(lo, hi)
+    return Ival(XS(exp_bounds(iv.lo.lower())[0]),
+                XS(exp_bounds(iv.hi.upper())[1]))
 
 
 def _trig_range(iv: Ival, params) -> Ival:
@@ -248,31 +215,31 @@ def builtin_functions() -> dict[str, FunctionSymbol]:
     sqrt_sym = FunctionSymbol(
         "sqrt", 0, "positive", _sqrt_range, _sqrt_exact,
         lambda t, pr: _math.sqrt(max(t, 0.0)),
-        window_fn=lambda pr: (XS(0), None))
+        domain_window=lambda pr: (XS(0), None))
     fns["sqrt"] = sqrt_sym
     fns["pow_half"] = FunctionSymbol(
         "pow_half", 0, "positive", _sqrt_range, _sqrt_exact,
         lambda t, pr: _math.sqrt(max(t, 0.0)),
-        window_fn=lambda pr: (XS(0), None))
+        domain_window=lambda pr: (XS(0), None))
     fns["inv_lb"] = FunctionSymbol(
         "inv_lb", 1, "positive", _inv_range, _inv_exact,
         lambda t, pr: 1.0 / max(t, pr[0]),
-        window_fn=lambda pr: (pr[0], None),
-        param_check=_inv_check)
+        domain_window=lambda pr: (pr[0], None),
+        validate_params=_inv_check)
     fns["f_param"] = FunctionSymbol(
         "f_param", 1, "positive", _fparam_range, _fparam_exact,
         _fparam_scalar,
-        window_fn=lambda pr: (XS(0), XS(1)),
-        param_check=_fparam_check)
+        domain_window=lambda pr: (XS(0), XS(1)),
+        validate_params=_fparam_check)
     fns["exp"] = FunctionSymbol(
         "exp", 0, "entire", _exp_range, _entire_exact("exp"),
-        lambda t, pr: _math.exp(t), majorant_fn=_exp_majorant)
+        lambda t, pr: _math.exp(t), norm_majorant=_exp_majorant)
     fns["sin"] = FunctionSymbol(
         "sin", 0, "entire", _trig_range, _entire_exact("sin"),
-        lambda t, pr: _math.sin(t), majorant_fn=_exp_majorant)
+        lambda t, pr: _math.sin(t), norm_majorant=_exp_majorant)
     fns["cos"] = FunctionSymbol(
         "cos", 0, "entire", _trig_range, _entire_exact("cos"),
-        lambda t, pr: _math.cos(t), majorant_fn=_exp_majorant)
+        lambda t, pr: _math.cos(t), norm_majorant=_exp_majorant)
     return fns
 
 
@@ -305,8 +272,8 @@ def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSym
     dom_lo, dom_hi = pieces[0].lo, pieces[-1].hi
 
     def range_fn(iv: Ival, params) -> Ival:
-        lo = dom_lo if iv.lo is None else max(dom_lo, iv.lo.lower())
-        hi = dom_hi if iv.hi is None else min(dom_hi, iv.hi.upper())
+        lo = max(dom_lo, iv.lo.lower())
+        hi = min(dom_hi, iv.hi.upper())
         out = None
         for pc in pieces:
             a, b = max(pc.lo, lo), min(pc.hi, hi)
@@ -332,7 +299,7 @@ def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSym
         return 0.0
 
     return FunctionSymbol(name, 0, domain, range_fn, exact_fn, scalar_fn,
-                          window_fn=lambda pr: (XS(dom_lo), XS(dom_hi)))
+                          domain_window=lambda pr: (XS(dom_lo), XS(dom_hi)))
 
 
 # -- order macros -----------------------------------------------------------
@@ -800,7 +767,7 @@ def instantiate_schema(registry: Registry, name: str, bindings: dict,
     checks = []
     for a in data.positive:
         iv = bounds.interval(a, ctx)
-        if iv.lo is None or iv.lo.sign() < 0:
+        if iv.lo.sign() < 0:
             raise LemmaError(
                 "schema %s: positivity side condition not discharged; "
                 "enclosure %s" % (name, iv))
@@ -832,8 +799,12 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
     """Extend a registry from a small text format.
 
     function NAME:
-      domain positive|selfadjoint
+      domain positive|selfadjoint    (default selfadjoint)
       piece LO HI : C0 C1 C2 ...     (polynomial coefficients, rationals)
+
+    A function block needs at least one piece, and its domain is
+    `positive` or `selfadjoint`: a file cannot declare an entire function.
+    A block that breaks either rule raises ValueError.
 
     schema NAME:
       vars A B ...
@@ -854,6 +825,8 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
             return
         if cur[0] == "function":
             _, name, info = cur
+            if not info["pieces"]:
+                raise ValueError("registry file: function %s has no piece" % name)
             fns[name] = piecewise_symbol(name, info["pieces"], info["domain"])
         else:
             _, name, info = cur
@@ -880,6 +853,9 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
             info = cur[2]
             if line.startswith("domain "):
                 info["domain"] = line.split(None, 1)[1].strip()
+                if info["domain"] not in ("positive", "selfadjoint"):
+                    raise ValueError("registry file: domain must be positive "
+                                     "or selfadjoint, got %r" % info["domain"])
             elif line.startswith("piece "):
                 head, coeffs = line[len("piece "):].split(":", 1)
                 lo_s, hi_s = head.split()

@@ -258,12 +258,12 @@ def _check_call_domain(atom: Atom, fn, gens: NormedSet, registry):
     ctx = bounds.Context(gens, registry)
     ival = bounds.interval(atom.arg, ctx)
     if lo_req is not None:
-        if ival.lo is None or ival.lo.cmp(lo_req) < 0:
+        if ival.lo.cmp(lo_req) < 0:
             raise TermError(
                 "argument of %s not within its domain: need spectrum >= %s, "
                 "sound enclosure gives %s" % (atom.sym, lo_req, ival))
     if hi_req is not None:
-        if ival.hi is None or ival.hi.cmp(hi_req) > 0:
+        if ival.hi.cmp(hi_req) > 0:
             raise TermError(
                 "argument of %s not within its domain: need spectrum <= %s, "
                 "sound enclosure gives %s" % (atom.sym, hi_req, ival))

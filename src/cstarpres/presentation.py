@@ -58,9 +58,6 @@ class Presentation:
     def with_relations(self, rels: tuple[Relation, ...]) -> "Presentation":
         return replace(self, relations=rels)
 
-    def with_note(self, note: str) -> "Presentation":
-        return replace(self, notes=self.notes + (note,))
-
 
 def structural_equal(p: Presentation, q: Presentation) -> bool:
     """Equality up to relation naming/order and generator order."""

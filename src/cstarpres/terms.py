@@ -175,9 +175,6 @@ class NF(Mapping):
             return self._t[UNIT]
         return None
 
-    def degree(self) -> int:
-        return max((len(m) for m in self._t), default=0)
-
     def symbols(self) -> set[str]:
         out: set[str] = set()
         for m in self._t:
@@ -186,15 +183,6 @@ class NF(Mapping):
                     out |= a.arg.symbols()
                 else:
                     out.add(a.sym)
-        return out
-
-    def call_atoms(self) -> set[Atom]:
-        out: set[Atom] = set()
-        for m in self._t:
-            for a in m:
-                if a.kind == CALL:
-                    out.add(a)
-                    out |= a.arg.call_atoms()
         return out
 
     def __repr__(self):
@@ -314,9 +302,6 @@ class NormedSet:
 
     def norm(self, name: str) -> XS:
         return self._norm[name]
-
-    def index(self, name: str) -> int:
-        return self._order.index(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._norm

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -211,17 +212,40 @@ def test_corpus_contexts_converge_within_three_passes(reg, corpus):
             assert ctx.converged and ctx.rounds <= 3, path.name
 
 
-def test_depth_cutoffs_are_counted(reg):
-    # each p( ) adds one interval level; exp of the non-self-adjoint x goes
-    # through norm_bound one level further down
+def test_deep_nests_keep_their_bounds(reg):
+    # each p( ) adds one interval level and the recursion has no depth
+    # cut-off, so a deep nest is bounded as tightly as a shallow one
     g = one_gen(1)
-    counts = {}
-    for n in (1, 17):
+    for n in (1, 16, 17, 40):
         ctx = bounds.Context(g, reg)
+        t = parse_term("p(" * n + "x* x - 1/2" + ")" * n, g, reg)
+        assert bounds.interval(t, ctx) == bounds.Ival(XS(0), XS(Fraction(1, 2))), n
+        assert bounds.norm_bound(t, ctx) == XS(Fraction(1, 2)), n
+    # exp of the non-self-adjoint x goes through norm_bound of its argument
+    got = {}
+    for n in (1, 17):
         t = parse_term("p(" * n + "exp(x) + exp(x*)" + ")" * n, g, reg)
-        counts[n] = (bounds.interval(t, ctx), ctx.stats)
-    assert counts[1][1]["interval_depth_cutoffs"] == 0
-    assert counts[1][1]["norm_bound_depth_cutoffs"] == 0
-    assert counts[17][1]["interval_depth_cutoffs"] >= 1
-    assert counts[17][1]["norm_bound_depth_cutoffs"] >= 1
-    assert counts[17][0] == counts[1][0]
+        got[n] = bounds.interval(t, bounds.Context(g, reg))
+    assert got[17] == got[1]
+
+
+def _context_summary(ctx, keys):
+    return (ctx.sa, ctx.caps, ctx.sym_ival, ctx.rounds,
+            [bounds.interval(k, ctx) for k in keys])
+
+
+def test_contexts_do_not_depend_on_relation_order(reg, corpus):
+    for path in sorted(corpus.iterdir()):
+        if not path.name.endswith(".pres"):
+            continue
+        p = load_presentation(str(path), reg)
+        bodies = p.bodies()
+        ctxs = [bounds.context_from_relations(p.gens, reg, bodies)]
+        for seed in range(10):
+            shuffled = list(bodies)
+            random.Random(seed).shuffle(shuffled)
+            ctxs.append(bounds.context_from_relations(p.gens, reg, shuffled))
+        keys = [k for ctx in ctxs for k, _ in ctx.elem_facts]
+        first = _context_summary(ctxs[0], keys)
+        for seed, ctx in enumerate(ctxs[1:]):
+            assert _context_summary(ctx, keys) == first, (path.name, seed)

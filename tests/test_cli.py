@@ -316,6 +316,28 @@ def test_registry_env_var(capsys, corpus, tmp_path, monkeypatch, reg):
     assert manifest["registry_digest"] != reg.digest()
 
 
+@pytest.mark.parametrize("block", [
+    "function nopiece:\n  domain selfadjoint\n",
+    "function bad:\n  domain entire\n  piece 0 1 : 0 1\n",
+])
+def test_bad_registry_file_is_exit_2(capsys, corpus, tmp_path, block):
+    extra = tmp_path / "bad.reg"
+    extra.write_text(block)
+    code, _, err = run(capsys, "normbound", "x", "-p",
+                       str(corpus / "self_adjoint.pres"),
+                       "--registry", str(extra), "--manifest", "")
+    assert code == 2
+    assert err.startswith("error: registry file:")
+
+
+def test_check_strict_with_permissive_is_exit_2(capsys, corpus):
+    drv = str(corpus / "idempotent_to_projections.drv")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", drv, "--strict", "--permissive", "--manifest", ""])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_missing_presentation_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "repsearch")
     assert code == 2
