@@ -2,9 +2,9 @@
 
 Two kinds of numbers live here:
 
-* ``Coeff`` -- Gaussian rationals (exact rational real and imaginary
-  parts).  These are the only coefficients normal forms are allowed to
-  carry.
+* ``Coeff`` -- Gaussian rationals, stored as an integer triple
+  ``(a + b*i) / d`` in lowest terms.  These are the only coefficients
+  normal forms are allowed to carry.
 
 * ``XS`` -- quadratic surds ``a + b*sqrt(r)`` with rational a, b and a
   squarefree integer radicand r.  Norm values and spectral-interval
@@ -12,14 +12,14 @@ Two kinds of numbers live here:
   and division; addition is exact only when the radicands agree, and the
   interval layer rounds outward when it does not.
 
-Everything is built on ``fractions.Fraction``; no floats enter any
-decision made by the checker.
+``Coeff`` arithmetic is integer arithmetic; ``XS`` is built on
+``fractions.Fraction``.  No floats enter any decision made by the checker.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -331,60 +331,95 @@ def xs_mul_outward(x: XS, y: XS, up: bool) -> XS:
 
 
 class Coeff:
-    """Gaussian rational a + b*i."""
+    """Gaussian rational (a + b*i) / d on integers.
 
-    __slots__ = ("re", "im")
+    Normalised so that gcd(a, b, d) = 1 and d > 0; structural equality of
+    the triple is value equality.  Each sum, difference and product costs
+    one three-way gcd.  ``re`` and ``im`` are the exact parts as
+    Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # both parts are in lowest terms, so over d = lcm(q, s) the
+        # triple is already coprime
+        d = q * s // gcd(q, s)
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
 
     ZERO: "Coeff"
     ONE: "Coeff"
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def __add__(self, other) -> "Coeff":
         other = _ccoerce(other)
-        return Coeff(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1,
+                        self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coeff":
-        return Coeff(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "Coeff":
-        return self + (-_ccoerce(other))
+        other = _ccoerce(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(self.a * d2 - other.a * d1,
+                        self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other) -> "Coeff":
         return _ccoerce(other) - self
 
     def __mul__(self, other) -> "Coeff":
         other = _ccoerce(other)
-        return Coeff(self.re * other.re - self.im * other.im,
-                     self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Coeff":
+        # x / y = x * conj(y) * d_y / (d_x * |a_y + b_y i|^2)
         other = _ccoerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
             raise ZeroDivisionError
-        return Coeff((self.re * other.re + self.im * other.im) / d,
-                     (self.im * other.re - self.re * other.im) / d)
+        d2 = other.d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self.d * n)
 
     def conj(self) -> "Coeff":
-        return Coeff(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def abs_xs(self) -> XS:
         """|a + bi| as an exact surd."""
@@ -395,10 +430,10 @@ class Coeff:
             other = Coeff(other)
         if not isinstance(other, Coeff):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -407,12 +442,24 @@ class Coeff:
         return "Coeff(%s, %s)" % (self.re, self.im)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return "%si" % self.im
-        sign = "+" if self.im > 0 else "-"
-        return "%s %s %si" % (self.re, sign, abs(self.im))
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return "%si" % im
+        sign = "+" if im > 0 else "-"
+        return "%s %s %si" % (re, sign, abs(im))
+
+
+def _reduced(a: int, b: int, d: int) -> Coeff:
+    """The Coeff (a + b*i) / d for integers a, b and d > 0."""
+    g = gcd(a, b, d)
+    c = object.__new__(Coeff)
+    if g == 1:
+        c.a, c.b, c.d = a, b, d
+    else:
+        c.a, c.b, c.d = a // g, b // g, d // g
+    return c
 
 
 def _ccoerce(v) -> Coeff:

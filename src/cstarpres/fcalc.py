@@ -113,7 +113,8 @@ def _inv_check(params: tuple[XS, ...]):
 def _inv_range(iv: Ival, params) -> Ival:
     (m,) = params
     lo = iv.lo if iv.lo.cmp(m) > 0 else m
-    return Ival(iv.hi.inverse(), lo.inverse())
+    hi = iv.hi if iv.hi.cmp(m) > 0 else m
+    return Ival(hi.inverse(), lo.inverse())
 
 
 def _inv_exact(v: Coeff, params) -> Coeff | None:

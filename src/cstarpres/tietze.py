@@ -165,9 +165,6 @@ def search_certificate(relations, target: NF, gens: NormedSet, registry,
     ent = registry.entire_fns
     sym_index = {s: i for i, s in enumerate(gens.names())}
 
-    def nf_vec(t: NF) -> dict:
-        return dict(t.items())
-
     # pivots: leading monomial -> (vector, combo over candidate index)
     pivots: dict[Monomial, tuple[dict, dict]] = {}
     mono_order: dict[Monomial, object] = {}
@@ -228,12 +225,13 @@ def search_certificate(relations, target: NF, gens: NormedSet, registry,
             candidates.append(cand)
             wa, ri, starred, wb = cand
             body = star_bodies[ri] if starred else rel_list[ri][1]
-            expanded = NF({wa: Coeff.ONE}) * body * NF({wb: Coeff.ONE})
-            vec, combo = reduce_vec(nf_vec(expanded), {idx: Coeff.ONE})
+            # wa * body * wb: concatenation with fixed words is injective
+            vec, combo = reduce_vec({wa + m + wb: c for m, c in body.items()},
+                                    {idx: Coeff.ONE})
             if vec:
                 lead = max(vec, key=key_of)
                 pivots[lead] = (vec, combo)
-        bvec, bcombo = reduce_vec(nf_vec(target), {})
+        bvec, bcombo = reduce_vec(dict(target.items()), {})
         if not bvec:
             summands = []
             for idx, c in sorted(bcombo.items()):

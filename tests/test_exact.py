@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -88,3 +90,87 @@ def test_xs_str_forms():
     assert str(XS(Fraction(1, 2)) + XS(0, Fraction(1, 2), 3)) == "1/2+1/2*sqrt(3)"
     assert str(XS(2)) == "2"
     assert str(XS(0, 1, 2)) == "sqrt(2)"
+
+
+# -- Coeff against a reference on Fraction pairs ------------------------------
+
+def _ref_str(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return "%si" % im
+    return "%s %s %si" % (re, "+" if im > 0 else "-", abs(im))
+
+
+def _ref_ops(x, y):
+    """Every Coeff operation on (re, im) Fraction pairs, done by hand."""
+    (a, b), (c, d) = x, y
+    out = {"add": (a + c, b + d), "sub": (a - c, b - d),
+           "mul": (a * c - b * d, a * d + b * c),
+           "neg": (-a, -b), "conj": (a, -b)}
+    n = c * c + d * d
+    out["div"] = None if n == 0 else ((a * c + b * d) / n, (b * c - a * d) / n)
+    return out
+
+
+def _random_part(rng):
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.3:
+        num = rng.randrange(-2 ** 80, 2 ** 80)
+    else:
+        num = rng.randrange(-12, 13)
+    return Fraction(num, rng.choice((1, 1, 2, 3, 4, 6, 9, 2 ** 70 + 1)))
+
+
+def _check_coeff(z, re, im):
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (re, im)
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    assert all(type(v) is int for v in (z.a, z.b, z.d))
+    assert str(z) == _ref_str(re, im)
+    assert repr(z) == "Coeff(%s, %s)" % (re, im)
+    assert complex(z) == complex(float(re), float(im))
+    assert z.is_zero == (re == 0 and im == 0)
+    assert z.is_real == (im == 0)
+
+
+def test_coeff_matches_fraction_pair_reference():
+    rng = random.Random(7)
+    for _ in range(2000):
+        x, y = (_random_part(rng), _random_part(rng)), \
+               (_random_part(rng), _random_part(rng))
+        if rng.random() < 0.1:
+            y = x
+        cx, cy = Coeff(*x), Coeff(*y)
+        _check_coeff(cx, *x)
+        ref = _ref_ops(x, y)
+        _check_coeff(cx + cy, *ref["add"])
+        _check_coeff(cx - cy, *ref["sub"])
+        _check_coeff(cx * cy, *ref["mul"])
+        _check_coeff(-cx, *ref["neg"])
+        _check_coeff(cx.conj(), *ref["conj"])
+        if ref["div"] is None:
+            with pytest.raises(ZeroDivisionError):
+                cx / cy
+        else:
+            _check_coeff(cx / cy, *ref["div"])
+        assert cx.abs_squared() == x[0] * x[0] + x[1] * x[1]
+        assert type(cx.abs_squared()) is Fraction
+        assert (cx == cy) == (x == y)
+        if x == y:
+            assert hash(cx) == hash(cy)
+        # the same value reached another way is the same triple
+        again = (cx * cy + cx) - cx * cy
+        assert again == cx and hash(again) == hash(cx)
+        if x[1] == 0:
+            assert cx == x[0]
+            if x[0].denominator == 1:
+                assert cx == int(x[0])
+        else:
+            assert cx != x[0]
+        # mixed operands coerce ints and Fractions
+        _check_coeff(cx + 3, x[0] + 3, x[1])
+        _check_coeff(x[0] - cx, 0, -x[1])
+        _check_coeff(2 * cx, 2 * x[0], 2 * x[1])

@@ -241,3 +241,15 @@ def test_user_registry_file(reg, tmp_path):
 def test_registry_digest_is_stable(reg):
     assert reg.digest() == builtin_registry().digest()
     assert len(reg.digest()) == 16
+
+
+def test_inv_lb_range_clamps_both_ends(reg):
+    # inv_lb(a, m) = 1/max(a, m): an argument interval that reaches below m
+    # at its top end maps to a point, not to an empty or unbounded range
+    g = NormedSet()
+    g.add("x", XS(1))
+    ctx = bounds.Context(g, reg)
+    for text, want in [("inv_lb(x* x, 2)", Fraction(1, 2)),
+                       ("inv_lb(x* x - 1, 1)", Fraction(1))]:
+        t = parse_term(text, g, reg, check_domains=False)
+        assert bounds.interval(t, ctx) == Ival(XS(want), XS(want))

@@ -104,6 +104,45 @@ def test_search_is_deterministic(reg):
     assert check_certificate(p, a, target, reg)
 
 
+PLANTED = """flavor: unital
+generators:
+  x : 1
+  y : 1
+relations:
+  r1 : (-1/2) (y* y) + (-1/4) (x y) + (5/2) (x* x*) = 0
+  r2 : (2/2) (y* y) + (3/4) (y x) + (-2/2) (y* x) = 0
+  r3 : (-3/2) (y* y*) + (5/3) (x y) + (-1/2) (x* x*) = 0
+  planted : (1/1) ((-1/2) (y* y) + (-1/4) (x y) + (5/2) (x* x*)) (y) + (2/3) (y) ((-1/2) (y* y) + (-1/4) (x y) + (5/2) (x* x*))* = 0
+"""
+
+
+def test_pinned_first_found_certificates(reg):
+    # summands as found by the Fraction-pair kernel; they pin the candidate
+    # order and the elimination, not only the certificate's validity
+    p = parse_presentation(PLANTED, reg)
+    rels = [(r.name, r.body) for r in p.relations if r.name != "planted"]
+    body = {r.name: r.body for r in p.relations}
+
+    def term(text):
+        return parse_term(text, p.gens, reg)
+
+    cert = search_certificate(rels, body["planted"], p.gens, reg, max_degree=1)
+    assert cert.summands == (
+        (term("1"), "r1", False, term("y")),
+        (term("2/3 y"), "r1", True, term("1")),
+    )
+    target = (term("(1 + 2i) x") * body["r2"]
+              + body["r3"] * term("3/2 i y* - x") + star(body["r1"]) * term("y"))
+    cert = search_certificate(rels, target, p.gens, reg, max_degree=1)
+    assert cert.summands == (
+        (term("-1"), "r3", False, term("x")),
+        (term("1"), "r1", True, term("y")),
+        (term("3/2 i"), "r3", False, term("y*")),
+        (term("(1 + 2i) x"), "r2", False, term("1")),
+    )
+    assert check_certificate(p, cert, target, reg)
+
+
 # -- the positivity/self-adjointness chain, move by move ---------------------
 
 def chain_derivation(reg):
