@@ -133,6 +133,8 @@ def _cmd_check(args, reg) -> int:
 
 
 def _cmd_simplify(args, reg) -> int:
+    if args.degree < 0:
+        raise UsageError("--degree must be at least 0, got %d" % args.degree)
     p = _need_presentation(args, reg)
     result, drv = tietze.auto_simplify(p, reg, max_degree=args.degree)
     moves = [tietze.describe_move(m) for m in drv.steps]

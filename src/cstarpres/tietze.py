@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact import XS, Coeff
-from .terms import (ADJ, NF, Atom, GEN, Monomial, NormedSet, UNIT, gen_nf,
-                    nf_coerce, star, substitute, monomial_key, valid_ident)
+from .terms import (ADJ, NF, Atom, GEN, Monomial, NormedSet, UNIT, atom_key,
+                    gen_nf, nf_coerce, star, substitute, monomial_key,
+                    valid_ident)
 from .presentation import Presentation, Relation, _fresh, structural_equal
 from . import bounds, fcalc
 
@@ -134,6 +135,23 @@ def check_certificate(p: Presentation, cert: Certificate, target: NF,
 
 # -- certificate auto-search ---------------------------------------------------
 
+@dataclass(frozen=True)
+class BudgetExhausted:
+    """`search_certificate` stopped at its candidate budget: degrees up to
+    `searched_degree` were eliminated in full without a certificate, and
+    the next degree would have taken the candidate count above `budget`."""
+    budget: int
+    searched_degree: int  # -1 when degree 0 alone exceeds the budget
+
+    @property
+    def note(self) -> str:
+        if self.searched_degree < 0:
+            return ("candidate budget of %d exhausted before degree 0"
+                    % self.budget)
+        return ("candidate budget of %d exhausted; searched through degree %d"
+                % (self.budget, self.searched_degree))
+
+
 def _words_upto(gens: NormedSet, degree: int) -> list[Monomial]:
     atoms = []
     for s in gens.names():
@@ -149,98 +167,149 @@ def _words_upto(gens: NormedSet, degree: int) -> list[Monomial]:
     return words
 
 
+def _monomial_coder(atoms, gens: NormedSet):
+    """The integer coding of monomials over `atoms` (plus the generator
+    letters) that certificate search eliminates on.
+
+    Atoms are ranked by `terms.atom_key`, and a monomial m is coded as
+    (len(m), tuple of its atoms' ranks).  The ranking preserves order and
+    is injective, so codes compare exactly as `monomial_key` does, while
+    hashing and comparing them runs in C.
+    """
+    sym_index = {s: i for i, s in enumerate(gens.names())}
+    letters = [a for s in gens.names() for a in (Atom(GEN, s), Atom(ADJ, s))]
+    ranked = sorted(set(letters).union(atoms),
+                    key=lambda a: atom_key(a, sym_index))
+    rank = {a: i for i, a in enumerate(ranked)}
+
+    def code(m: Monomial) -> tuple[int, tuple[int, ...]]:
+        return len(m), tuple([rank[a] for a in m])
+    return code
+
+
 def search_certificate(relations, target: NF, gens: NormedSet, registry,
-                       max_degree: int = 1,
-                       max_candidates: int = 6000) -> Certificate | None:
+                       max_degree: int = 1, max_candidates: int = 6000
+                       ) -> Certificate | BudgetExhausted | None:
     """Bounded-degree ideal-membership search, exact over Gaussian rationals.
 
-    `relations` is (name, body) pairs.  Factor monomials are generator
-    words with total degree (left + right) at most max_degree; the linear
-    system over the monomial basis is solved by sparse elimination.
-    Deterministic: candidates are enumerated lowest degree first, then in
-    word order, and the first-found combination is returned.
+    `relations` is (name, body) pairs.  Candidates are wa * body * wb for
+    each body and, when it differs, its star, with generator words wa, wb
+    of total degree at most max_degree.  They are enumerated lowest degree
+    first, then in word order, and reduced one by one by sparse Gaussian
+    elimination on the `_monomial_coder` codes, largest monomial first; the
+    target is reduced after each degree, and the first-found combination
+    is returned as a Certificate.  Eliminations record only their steps;
+    the combination is rebuilt from them once the target reduces to zero.
+    None means no certificate up to max_degree.  BudgetExhausted means the
+    next degree would have taken the candidate count above
+    max_candidates; the search stops before eliminating it.
     """
     if target.is_zero:
         return Certificate(())
     ent = registry.entire_fns
-    sym_index = {s: i for i, s in enumerate(gens.names())}
+    rel_list = list(relations)
+    bodies = [body for _, body in rel_list]
+    star_bodies = [star(body, ent) for body in bodies]
+    code = _monomial_coder([a for t in [target] + bodies + star_bodies
+                           for m in t for a in m], gens)
+    coded = [[(code(m), c) for m, c in t.items()]
+             for t in bodies + star_bodies]
+    n_rels = len(rel_list)
+    has_star = [s != b for s, b in zip(star_bodies, bodies)]
 
-    # pivots: leading monomial -> (vector, combo over candidate index)
-    pivots: dict[Monomial, tuple[dict, dict]] = {}
-    mono_order: dict[Monomial, object] = {}
+    # pivots: leading code -> (vector, pivot number); origins[number] is
+    # (candidate index, elimination steps) with steps (ratio, number) pairs
+    pivots: dict[tuple, tuple[dict, int]] = {}
+    origins: list[tuple[int, list]] = []
 
-    def key_of(m: Monomial):
-        k = mono_order.get(m)
-        if k is None:
-            k = monomial_key(m, sym_index)
-            mono_order[m] = k
-        return k
-
-    def reduce_vec(vec: dict, combo: dict):
-        changed = True
-        while changed and vec:
-            changed = False
-            lead = max(vec, key=key_of)
+    def reduce_vec(vec: dict):
+        """Reduce vec in place; returns its lead (None once zero) and the
+        steps taken."""
+        steps = []
+        while vec:
+            lead = max(vec)
             hit = pivots.get(lead)
-            if hit is not None:
-                pvec, pcombo = hit
-                ratio = vec[lead] / pvec[lead]
-                for m, c in pvec.items():
-                    nc = vec.get(m, Coeff.ZERO) - ratio * c
-                    if nc.is_zero:
-                        vec.pop(m, None)
-                    else:
-                        vec[m] = nc
-                for i, c in pcombo.items():
-                    nc = combo.get(i, Coeff.ZERO) - ratio * c
-                    if nc.is_zero:
-                        combo.pop(i, None)
-                    else:
-                        combo[i] = nc
-                changed = True
-        return vec, combo
+            if hit is None:
+                return lead, steps
+            pvec, num = hit
+            ratio = vec[lead] / pvec[lead]
+            for m, c in pvec.items():
+                nc = vec.get(m, Coeff.ZERO) - ratio * c
+                if nc.is_zero:
+                    vec.pop(m, None)
+                else:
+                    vec[m] = nc
+            steps.append((ratio, num))
+        return None, steps
 
     candidates: list[tuple[Monomial, int, bool, Monomial]] = []
-    rel_list = list(relations)
-    star_bodies = [star(body, ent) for _, body in rel_list]
-
+    tvec = {code(m): c for m, c in target.items()}
     for degree in range(max_degree + 1):
-        words = _words_upto(gens, degree)
-        new: list[tuple[Monomial, int, bool, Monomial]] = []
-        for wa in words:
-            for wb in words:
-                if len(wa) + len(wb) > degree:
+        words = [(w, code(w)) for w in _words_upto(gens, degree)]
+        new = []
+        for wa, (la, ca) in words:
+            for wb, (lb, cb) in words:
+                if la + lb != degree:
                     continue
-                for ri in range(len(rel_list)):
-                    new.append((wa, ri, False, wb))
-                    if star_bodies[ri] != rel_list[ri][1]:
-                        new.append((wa, ri, True, wb))
-        # keep only candidates of exactly this total degree (lower ones
-        # were already processed in earlier rounds)
-        new = [c for c in new if len(c[0]) + len(c[3]) == degree]
+                for ri in range(n_rels):
+                    new.append((wa, ri, False, wb, la + lb, ca, cb))
+                    if has_star[ri]:
+                        new.append((wa, ri, True, wb, la + lb, ca, cb))
         if len(candidates) + len(new) > max_candidates:
-            return None
-        for cand in new:
+            return BudgetExhausted(max_candidates, degree - 1)
+        for wa, ri, starred, wb, ln, ca, cb in new:
             idx = len(candidates)
-            candidates.append(cand)
-            wa, ri, starred, wb = cand
-            body = star_bodies[ri] if starred else rel_list[ri][1]
+            candidates.append((wa, ri, starred, wb))
             # wa * body * wb: concatenation with fixed words is injective
-            vec, combo = reduce_vec({wa + m + wb: c for m, c in body.items()},
-                                    {idx: Coeff.ONE})
-            if vec:
-                lead = max(vec, key=key_of)
-                pivots[lead] = (vec, combo)
-        bvec, bcombo = reduce_vec(dict(target.items()), {})
-        if not bvec:
-            summands = []
-            for idx, c in sorted(bcombo.items()):
-                wa, ri, starred, wb = candidates[idx]
-                summands.append((NF({wa: -c}), rel_list[ri][0], starred,
-                                 NF({wb: Coeff.ONE})))
-            cert = Certificate(tuple(summands))
-            return cert
+            vec = {(ln + l, ca + k + cb): c
+                   for (l, k), c in coded[ri + n_rels if starred else ri]}
+            lead, steps = reduce_vec(vec)
+            if lead is not None:
+                pivots[lead] = (vec, len(origins))
+                origins.append((idx, steps))
+        lead, steps = reduce_vec(dict(tvec))
+        if lead is None:
+            return Certificate(_summands(steps, origins, candidates,
+                                         rel_list))
     return None
+
+
+def _summands(steps, origins, candidates, rel_list):
+    """The certificate of a target reduced to zero by `steps`: each pivot's
+    combination over candidates is rebuilt, in pivot order, for the pivots
+    the steps reach."""
+    need = set()
+    stack = [num for _, num in steps]
+    while stack:
+        num = stack.pop()
+        if num not in need:
+            need.add(num)
+            stack.extend(n for _, n in origins[num][1])
+    combos: list = [None] * len(origins)
+    for num in sorted(need):
+        idx, psteps = origins[num]
+        combo = {idx: Coeff.ONE}
+        _subtract(combo, psteps, combos)
+        combos[num] = combo
+    bcombo: dict = {}
+    _subtract(bcombo, steps, combos)
+    summands = []
+    for idx, c in sorted(bcombo.items()):
+        wa, ri, starred, wb = candidates[idx]
+        summands.append((NF({wa: -c}), rel_list[ri][0], starred,
+                         NF({wb: Coeff.ONE})))
+    return tuple(summands)
+
+
+def _subtract(combo: dict, steps: list, combos: list):
+    """combo -= sum of ratio * combos[num] over the (ratio, num) steps."""
+    for ratio, num in steps:
+        for i, c in combos[num].items():
+            nc = combo.get(i, Coeff.ZERO) - ratio * c
+            if nc.is_zero:
+                combo.pop(i, None)
+            else:
+                combo[i] = nc
 
 
 # -- justification checking ----------------------------------------------------
@@ -281,8 +350,9 @@ def _check_justification(ambient: Presentation, target: NF, just, registry,
         amb = [(r.name, r.body) for r in ambient.relations]
 
         def sa_prover(diff: NF) -> bool:
-            return search_certificate(amb, diff, ambient.gens, registry,
-                                      max_degree=1) is not None
+            return isinstance(search_certificate(amb, diff, ambient.gens,
+                                                 registry, max_degree=1),
+                              Certificate)
 
         try:
             inst = fcalc.instantiate_schema(registry, just.schema,
@@ -488,10 +558,10 @@ def auto_justify(ambient: Presentation, target: NF, registry,
                  degree: int = 1):
     """Certificate search, then the positivity schema, then oracle-pending."""
     rels = [(r.name, r.body) for r in ambient.relations]
-    cert = search_certificate(rels, target, ambient.gens, registry,
-                              max_degree=degree)
-    if cert is not None:
-        return cert
+    found = search_certificate(rels, target, ambient.gens, registry,
+                               max_degree=degree)
+    if isinstance(found, Certificate):
+        return found
     a = fcalc.match_geq_body(target, registry)
     if a is not None and registry.schema("positive_from_interval") is not None:
         cit = lemma_citation("positive_from_interval", A=a)
@@ -504,6 +574,8 @@ def auto_justify(ambient: Presentation, target: NF, registry,
                 return cit
         except fcalc.LemmaError:
             pass
+    if isinstance(found, BudgetExhausted):
+        return OraclePending(found.note)
     return OraclePending("no certificate found at degree <= %d" % degree)
 
 
@@ -638,7 +710,7 @@ def _next_removal(cur: Presentation, registry, max_degree: int):
                   if r.name != rel.name]
         cert = search_certificate(others, rel.body, cur.gens, registry,
                                   max_degree=max_degree)
-        if cert is not None:
+        if isinstance(cert, Certificate):
             move = RemoveRelations(((rel.name, cert),))
             return move, apply_move(cur, move, "strict", registry)[0]
     for rel in cur.relations:

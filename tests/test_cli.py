@@ -287,6 +287,16 @@ def test_simplify_cli(capsys, corpus):
     assert doc["moves"] == []   # nothing eliminable without a gap
 
 
+def test_simplify_negative_degree_is_exit_2(capsys, corpus, tmp_path):
+    code, out, err = run(capsys, "simplify", "-p",
+                         str(corpus / "two_projections.pres"),
+                         "--degree", "-1")
+    assert code == 2
+    assert err.strip() == "error: --degree must be at least 0, got -1"
+    assert out == ""
+    assert not (tmp_path / "run-manifest.json").exists()
+
+
 def test_manifest_written_by_default(capsys, corpus, tmp_path):
     code, _, _ = run(capsys, "parse", "-p",
                      str(corpus / "self_adjoint.pres"))

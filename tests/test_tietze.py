@@ -1,3 +1,5 @@
+import collections
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from cstarpres.parser import parse_term
 from cstarpres.presentation import (Presentation, Relation,
                                     load_presentation, parse_presentation,
                                     structural_equal)
-from cstarpres.terms import NormedSet, adj_nf, gen_nf, nf_coerce, star
+from cstarpres.terms import (NF, NormedSet, adj_nf, gen_nf, monomial_key,
+                             nf_coerce, star)
 from cstarpres.tietze import (AddGenerators, AddRelations, Certificate,
                               Derivation, MoveError, OraclePending,
                               RemoveGenerators, RemoveRelations, apply_move,
@@ -141,6 +144,198 @@ def test_pinned_first_found_certificates(reg):
         (term("(1 + 2i) x"), "r2", False, term("1")),
     )
     assert check_certificate(p, cert, target, reg)
+
+
+# -- the search against a reference elimination -------------------------------
+
+def _reference_search_certificate(relations, target, gens, registry,
+                                  max_degree=1, max_candidates=6000):
+    """The search as it was before monomials were integer-coded: it orders
+    monomials by `monomial_key` and carries every combination along.  Its
+    one change is the budget marker, where it used to return None."""
+    if target.is_zero:
+        return Certificate(())
+    ent = registry.entire_fns
+    sym_index = {s: i for i, s in enumerate(gens.names())}
+    pivots = {}
+    mono_order = {}
+
+    def key_of(m):
+        k = mono_order.get(m)
+        if k is None:
+            k = monomial_key(m, sym_index)
+            mono_order[m] = k
+        return k
+
+    def reduce_vec(vec, combo):
+        changed = True
+        while changed and vec:
+            changed = False
+            lead = max(vec, key=key_of)
+            hit = pivots.get(lead)
+            if hit is not None:
+                pvec, pcombo = hit
+                ratio = vec[lead] / pvec[lead]
+                for m, c in pvec.items():
+                    nc = vec.get(m, Coeff.ZERO) - ratio * c
+                    if nc.is_zero:
+                        vec.pop(m, None)
+                    else:
+                        vec[m] = nc
+                for i, c in pcombo.items():
+                    nc = combo.get(i, Coeff.ZERO) - ratio * c
+                    if nc.is_zero:
+                        combo.pop(i, None)
+                    else:
+                        combo[i] = nc
+                changed = True
+        return vec, combo
+
+    candidates = []
+    rel_list = list(relations)
+    star_bodies = [star(body, ent) for _, body in rel_list]
+    for degree in range(max_degree + 1):
+        words = tietze._words_upto(gens, degree)
+        new = []
+        for wa in words:
+            for wb in words:
+                if len(wa) + len(wb) > degree:
+                    continue
+                for ri in range(len(rel_list)):
+                    new.append((wa, ri, False, wb))
+                    if star_bodies[ri] != rel_list[ri][1]:
+                        new.append((wa, ri, True, wb))
+        new = [c for c in new if len(c[0]) + len(c[3]) == degree]
+        if len(candidates) + len(new) > max_candidates:
+            return ("budget", degree - 1)
+        for cand in new:
+            idx = len(candidates)
+            candidates.append(cand)
+            wa, ri, starred, wb = cand
+            body = star_bodies[ri] if starred else rel_list[ri][1]
+            vec, combo = reduce_vec({wa + m + wb: c for m, c in body.items()},
+                                    {idx: Coeff.ONE})
+            if vec:
+                lead = max(vec, key=key_of)
+                pivots[lead] = (vec, combo)
+        bvec, bcombo = reduce_vec(dict(target.items()), {})
+        if not bvec:
+            summands = []
+            for idx, c in sorted(bcombo.items()):
+                wa, ri, starred, wb = candidates[idx]
+                summands.append((NF({wa: -c}), rel_list[ri][0], starred,
+                                 NF({wb: Coeff.ONE})))
+            return Certificate(tuple(summands))
+    return None
+
+
+CALLS = ("p(x* x)", "exp(y)", "p(x + x*)")
+
+
+def _random_search_case(rng, reg):
+    """(relations, target, gens, max_degree, max_candidates) with 2 or 3
+    generators, Gaussian and negative coefficients, constant terms and a
+    call atom in the first relation."""
+    names = ("x", "y", "z")[:rng.choice((2, 3))]
+    g = NormedSet()
+    for s in names:
+        g.add(s, XS(1))
+    letters = list(names) + [s + "*" for s in names]
+
+    def coeff():
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        return Coeff(re, im if rng.random() < 0.4 else 0)
+
+    def word(length):
+        return " ".join(rng.choice(letters) for _ in range(length)) or "1"
+
+    def body(with_call):
+        t = nf_coerce(coeff()) if rng.random() < 0.4 else nf_coerce(0)
+        monos = [word(rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        if with_call:
+            monos[0] = rng.choice(CALLS) + " " + word(rng.randint(0, 1))
+        for m in monos:
+            t = t + parse_term(m, g, reg) * coeff()
+        return t
+
+    rels = [("r%d" % i, body(i == 0)) for i in range(rng.randint(2, 3))]
+    rels = [(n, b) for n, b in rels if not b.is_zero]
+    max_degree = rng.choice((0, 1, 1, 2))
+    if rng.random() < 0.6:
+        # planted: a r b + c s* d, the words of total degree <= max_degree
+        ent = reg.entire_fns
+        target = nf_coerce(0)
+        for starred in (False, True):
+            left = rng.randint(0, max_degree)
+            right = rng.randint(0, max_degree - left)
+            _, r = rng.choice(rels)
+            target = target + (parse_term(word(left), g, reg) * coeff()
+                               * (star(r, ent) if starred else r)
+                               * parse_term(word(right), g, reg))
+    else:
+        target = body(rng.random() < 0.3)
+    max_candidates = rng.choice((6000, 6000, 6000, 5, 30, 120))
+    return rels, target, g, max_degree, max_candidates
+
+
+def test_search_matches_reference_elimination(reg):
+    rng = random.Random(20101012)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        rels, target, g, degree, budget = _random_search_case(rng, reg)
+        want = _reference_search_certificate(rels, target, g, reg, degree,
+                                             budget)
+        got = search_certificate(rels, target, g, reg, degree, budget)
+        if isinstance(want, Certificate):
+            assert isinstance(got, Certificate)
+            assert got.summands == want.summands
+            outcomes["certificate"] += 1
+        elif want is None:
+            assert got is None
+            outcomes["none"] += 1
+        else:
+            assert got == tietze.BudgetExhausted(budget, want[1])
+            outcomes["budget"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+
+
+def test_monomial_codes_sort_as_monomial_key(reg, corpus):
+    with_calls = 0
+    for path in sorted(corpus.iterdir()):
+        if not path.name.endswith(".pres"):
+            continue
+        p = load_presentation(str(path), reg)
+        sym_index = {s: i for i, s in enumerate(p.gens.names())}
+        bodies = [r.body for r in p.relations]
+        bodies += [star(b, reg.entire_fns) for b in bodies]
+        code = tietze._monomial_coder(
+            [a for b in bodies for m in b for a in m], p.gens)
+        words = tietze._words_upto(p.gens, 1)
+        monos = list({wa + m + wb for b in bodies for m in b
+                      for wa in words for wb in words})
+        with_calls += any(a.kind == "call" for m in monos for a in m)
+        assert len({code(m) for m in monos}) == len(monos)
+        assert (sorted(monos, key=code)
+                == sorted(monos, key=lambda m: monomial_key(m, sym_index)))
+    assert with_calls >= 2
+
+
+def test_budget_exhausted_is_its_own_outcome(reg, corpus):
+    p = load_presentation(str(corpus / "two_projections.pres"), reg)
+    target = p.relation("proj_r").body
+    rest = p.with_relations(tuple(r for r in p.relations
+                                  if r.name != "proj_r"))
+    rels = [(r.name, r.body) for r in rest.relations]
+    # 7 + 56 + 336 + 1792 candidates through degree 3, 8960 more at degree 4
+    assert search_certificate(rels, target, rest.gens, reg,
+                              max_degree=3) is None
+    assert (search_certificate(rels, target, rest.gens, reg, max_degree=4)
+            == tietze.BudgetExhausted(6000, 3))
+    assert tietze.auto_justify(rest, target, reg, degree=4) == OraclePending(
+        "candidate budget of 6000 exhausted; searched through degree 3")
+    assert tietze.auto_justify(rest, target, reg, degree=3) == OraclePending(
+        "no certificate found at degree <= 3")
 
 
 # -- the positivity/self-adjointness chain, move by move ---------------------
