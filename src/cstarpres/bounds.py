@@ -418,21 +418,6 @@ def _interval(t: NF, ctx: Context) -> Ival:
     return out
 
 
-def spectral_interval(t: NF, gens: NormedSet, registry,
-                      ctx: Context | None = None) -> Ival:
-    """Public entry point: relation-free unless a context is supplied."""
-    if ctx is None:
-        ctx = Context(gens, registry)
-    return interval(t, ctx)
-
-
-def norm_upper(t: NF, gens: NormedSet, registry,
-               ctx: Context | None = None) -> XS:
-    if ctx is None:
-        ctx = Context(gens, registry)
-    return norm_bound(t, ctx)
-
-
 # -- fact harvesting --------------------------------------------------------
 
 def _two_monomials(b: NF) -> list[tuple[Monomial, Coeff]] | None:

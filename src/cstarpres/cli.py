@@ -184,7 +184,7 @@ def _cmd_repsearch(args, reg) -> int:
     p = _need_presentation(args, reg)
     cfg = _search_config(args)
     result = repsearch.search_feasible(p, args.dim, cfg, reg)
-    payload = repsearch.result_to_json(p, result, reg)
+    payload = repsearch.result_to_json(p, result)
     best = result.best
     text = ("best residual %.3e, cap excess %.3e, feasible: %s "
             "(%d/%d restarts feasible)"
@@ -342,6 +342,9 @@ def main(argv=None) -> int:
             scripts.ScriptError, tietze.MoveError, tietze.BridgeError,
             OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

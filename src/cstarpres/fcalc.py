@@ -57,6 +57,22 @@ def exp_bounds(x: Fraction, terms: int = 0) -> tuple[Fraction, Fraction]:
     return s, s + rem
 
 
+def _dyadic(x: Fraction, up: bool, bits: int = 64) -> Fraction:
+    """x rounded up (or down) to m * 2^k with |m| <= 2^bits.
+
+    exp_bounds is exact, so its bit size multiplies by the number of
+    Taylor terms; the bounds of nested entire calls stay small only if
+    each one is rounded outward."""
+    num, den = x.numerator, x.denominator
+    shift = bits - 1 - (abs(num).bit_length() - den.bit_length())
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    m = -(-num // den) if up else num // den
+    return Fraction(m, 1 << shift) if shift >= 0 else Fraction(m << -shift)
+
+
 # -- function symbols -----------------------------------------------------
 
 @dataclass
@@ -186,8 +202,8 @@ def _fparam_scalar(t: float, params: tuple[float, ...]) -> float:
 
 
 def _exp_range(iv: Ival, params) -> Ival:
-    return Ival(XS(exp_bounds(iv.lo.lower())[0]),
-                XS(exp_bounds(iv.hi.upper())[1]))
+    return Ival(XS(_dyadic(exp_bounds(iv.lo.lower())[0], up=False)),
+                XS(_dyadic(exp_bounds(iv.hi.upper())[1], up=True)))
 
 
 def _trig_range(iv: Ival, params) -> Ival:
@@ -205,7 +221,7 @@ def _entire_exact(fn_name: str):
 
 
 def _exp_majorant(nb: XS, params) -> XS:
-    return XS(exp_bounds(nb.upper())[1])
+    return XS(_dyadic(exp_bounds(nb.upper())[1], up=True))
 
 
 def builtin_functions() -> dict[str, FunctionSymbol]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,12 +49,11 @@ class SearchConfig:
     seed: int = 0
     restarts: int = 8
     max_iters: int = 350
-    tol_feas: float = 1e-8
-    tol_cap: float = 1e-6
-    penalty: float = 10.0
-    lr: float = 0.08
-    reward: float = 0.05
-    polish: bool = True
+    tol_feas: ClassVar[float] = 1e-8  # feasible: every relation residual below
+    tol_cap: ClassVar[float] = 1e-6   # feasible: every cap excess below
+    penalty: ClassVar[float] = 10.0   # weight of a squared cap excess
+    lr: ClassVar[float] = 0.08        # Adam step size
+    reward: ClassVar[float] = 0.05    # weight of the reward term's square
 
 
 HERM_TOL = 1e-8
@@ -146,10 +146,10 @@ class _Pass:
     and kept, so `backward` reuses every product the forward pass made.
     """
 
-    def __init__(self, assign: dict, d: int, diag: EvalDiag | None = None,
-                 strict_herm: bool = False):
+    def __init__(self, assign: dict, d: int, rows: int,
+                 diag: EvalDiag | None = None, strict_herm: bool = False):
         self.assign = assign  # symbol -> (R, d, d)
-        self.rows = len(next(iter(assign.values()))) if assign else 1
+        self.rows = rows
         self.d = d
         self.diag = diag
         self.strict_herm = strict_herm
@@ -262,7 +262,8 @@ def eval_term(rep: MatrixRep, t: NF, registry, diag: EvalDiag | None = None,
     """Homomorphic evaluation of a normal form under the assignment."""
     plan = _compile(t, registry, rep.flavor, {})
     stack = {s: np.asarray(m)[None] for s, m in rep.assign.items()}
-    value, _ = _Pass(stack, rep.dim, diag or EvalDiag(), strict_herm).eval(plan)
+    value, _ = _Pass(stack, rep.dim, 1, diag or EvalDiag(),
+                     strict_herm).eval(plan)
     return value[0]
 
 
@@ -309,22 +310,6 @@ def _start(caps: list[float], d: int, seed: int, idx: int) -> np.ndarray:
         parts.append(m.real.ravel())
         parts.append(m.imag.ravel())
     return np.concatenate(parts) if parts else np.zeros(0)
-
-
-# -- residuals and objective ----------------------------------------------------
-
-def relation_residuals(p: Presentation, rep: MatrixRep, registry,
-                       diag: EvalDiag | None = None) -> list[float]:
-    return [float(np.linalg.norm(
-        eval_term(rep, r.body, registry, diag, strict_herm=False)))
-        for r in p.relations]
-
-
-def cap_excesses(p: Presentation, rep: MatrixRep) -> list[float]:
-    out = []
-    for s in p.gens.names():
-        out.append(max(0.0, op_norm(rep.assign[s]) - float(p.gens.norm(s))))
-    return out
 
 
 # -- reverse-mode gradient ------------------------------------------------------
@@ -386,16 +371,15 @@ class _Objective:
 
     Maps a stack of parameter rows (R, n) to the objective of each row
     and its gradient: squared relation residuals plus the penalized cap
-    excesses, minus the weighted square of the reward term's norm.
+    excesses, minus the weighted square of the reward term's norm.  The
+    polish residual and the final scores run the same compiled plans.
     """
 
-    def __init__(self, p: Presentation, d: int, registry, cfg: SearchConfig,
+    def __init__(self, p: Presentation, d: int, registry,
                  reward_term: NF | None = None):
         self.syms = p.gens.names()
         self.caps = [float(p.gens.norm(s)) for s in self.syms]
         self.d = d
-        self.penalty = cfg.penalty
-        self.reward_w = cfg.reward
         calls = {}
         self.bodies = [_compile(r.body, registry, p.flavor, calls)
                        for r in p.relations]
@@ -403,8 +387,9 @@ class _Objective:
                        _compile(reward_term, registry, p.flavor, calls))
 
     def __call__(self, theta: np.ndarray):
-        fwd = _Pass(_assign(theta, self.syms, self.d), self.d)
         rows = len(theta)
+        fwd = _Pass(_assign(theta, self.syms, self.d), self.d, rows)
+        penalty, reward_w = SearchConfig.penalty, SearchConfig.reward
         taped = [fwd.eval(plan) for plan in self.bodies]
         norms = [_frobenius(m) for m, _ in taped]
         val = np.array([sum(n[i] ** 2 for n in norms) for i in range(rows)])
@@ -412,11 +397,11 @@ class _Objective:
         for s, cap in zip(self.syms, self.caps):
             u, sv, vh = np.linalg.svd(fwd.assign[s])
             exc = np.maximum(0.0, sv[:, 0] - cap)
-            val = val + self.penalty * exc * exc
+            val = val + penalty * exc * exc
             svds.append((u, vh, exc))
         if self.reward is not None:
             qmat, qtape = fwd.eval(self.reward)
-            val = val - self.reward_w * np.array(
+            val = val - reward_w * np.array(
                 [n ** 2 for n in _frobenius(qmat)])
         zero = np.zeros((rows, self.d, self.d), dtype=complex)
         grads = {s: zero.copy() for s in self.syms}
@@ -426,12 +411,12 @@ class _Objective:
             hit = exc > 0.0
             if hit.any():
                 outer = u[hit][:, :, :1] * vh[hit][:, :1, :]
-                grads[s][hit] += (self.penalty * exc[hit])[:, None, None] * outer
+                grads[s][hit] += (penalty * exc[hit])[:, None, None] * outer
         if self.reward is not None:
             rgr = {s: zero.copy() for s in self.syms}
             fwd.backward(qtape, qmat, rgr)
             for s in self.syms:
-                grads[s] -= self.reward_w * rgr[s]
+                grads[s] -= reward_w * rgr[s]
         flat = []
         for s in self.syms:
             g = grads[s].reshape(rows, -1)
@@ -439,20 +424,46 @@ class _Objective:
             flat.append(2 * g.imag)
         return val, np.concatenate(flat, axis=1)
 
+    def _forward(self, theta: np.ndarray, diag: EvalDiag | None = None):
+        """One pass over a stack of rows: the pass, each relation's value,
+        and each generator's cap excess per row.
+
+        The top singular value comes from an SVD without singular
+        vectors: stacked or alone, that call gives the same bits, which
+        the full SVD of `__call__` does not."""
+        fwd = _Pass(_assign(theta, self.syms, self.d), self.d, len(theta),
+                    diag)
+        mats = [fwd.eval(plan)[0] for plan in self.bodies]
+        excess = [[max(0.0, top - cap) for top in np.linalg.svd(
+            fwd.assign[s], compute_uv=False)[:, 0].tolist()]
+            for s, cap in zip(self.syms, self.caps)]
+        return fwd, mats, excess
+
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         """Residual vector of one parameter row, for the least-squares
         polish: every relation's entries, then each weighted cap excess."""
-        fwd = _Pass(_assign(theta[None], self.syms, self.d), self.d)
+        _, mats, excess = self._forward(theta[None])
         parts = []
-        for plan in self.bodies:
-            m = fwd.eval(plan)[0][0]
-            parts.append(m.real.ravel())
-            parts.append(m.imag.ravel())
-        w = self.penalty ** 0.5
-        for s, cap in zip(self.syms, self.caps):
-            exc = max(0.0, op_norm(fwd.assign[s][0]) - cap)
-            parts.append(np.array([w * exc]))
-        return np.concatenate(parts) if parts else np.zeros(1)
+        for m in mats:
+            parts.append(m[0].real.ravel())
+            parts.append(m[0].imag.ravel())
+        w = SearchConfig.penalty ** 0.5
+        parts.append(np.array([w * exc[0] for exc in excess]))
+        return np.concatenate(parts)
+
+    def score(self, theta: np.ndarray, diag: EvalDiag) -> list[tuple]:
+        """Score a stack of rows in one pass: per row, each relation's
+        residual (Frobenius norm), the largest cap excess, and the reward
+        term's operator norm, None without a reward term."""
+        fwd, mats, excess = self._forward(theta, diag)
+        norms = [_frobenius(m) for m in mats]
+        values = [None] * len(theta)
+        if self.reward is not None:
+            values = np.linalg.svd(fwd.eval(self.reward)[0],
+                                   compute_uv=False)[:, 0].tolist()
+        return [([n[i] for n in norms],
+                 max((e[i] for e in excess), default=0.0), values[i])
+                for i in range(len(theta))]
 
 
 def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
@@ -478,10 +489,12 @@ def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
 @dataclass
 class RestartOutcome:
     index: int
-    residual: float
-    cap_excess: float
+    residual: float    # largest relation residual
+    cap_excess: float  # largest cap excess
     feasible: bool
     rep: MatrixRep
+    residuals: list    # each relation's residual, in relation order
+    value: float | None  # operator norm of the reward term, if any
 
 
 @dataclass
@@ -507,7 +520,7 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
 
     Each restart draws its start point from its own (seed, index) stream.
     One Adam runs over the stack of all start points, then each restart
-    gets its own least_squares polish and is scored on its own.
+    gets its own least_squares polish, and one pass scores them all.
 
     Raises ValueError unless d >= 1 and cfg.restarts >= 1, so that
     `refute_redundancy` and `norm_lower_bound` never report a search that
@@ -517,54 +530,45 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
     if cfg.restarts < 1:
         raise ValueError("restarts must be at least 1, got %d" % cfg.restarts)
     syms = p.gens.names()
-    objective = _Objective(p, d, registry, cfg, reward_term)
+    objective = _Objective(p, d, registry, reward_term)
     theta = np.stack([_start(objective.caps, d, cfg.seed, idx)
                       for idx in range(cfg.restarts)])
     if syms:
+        from scipy.optimize import least_squares
         theta = _adam(objective, theta, cfg.max_iters, cfg.lr)
-    outcomes = []
+        theta = np.stack([least_squares(
+            objective.residuals, th, method="trf", xtol=1e-15, ftol=1e-15,
+            gtol=1e-15, max_nfev=300 * len(th)).x for th in theta])
     diag = EvalDiag()
-    for idx, th in enumerate(theta):
-        if syms and cfg.polish:
-            from scipy.optimize import least_squares
-            th = least_squares(
-                objective.residuals, th, method="trf", xtol=1e-15,
-                ftol=1e-15, gtol=1e-15, max_nfev=300 * max(1, len(th))).x
-        rep = _unpack(th, syms, d, p.flavor)
-        res = relation_residuals(p, rep, registry, diag)
-        exc = cap_excesses(p, rep)
+    outcomes = []
+    for idx, (th, (res, excess, value)) in enumerate(
+            zip(theta, objective.score(theta, diag))):
         residual = max(res, default=0.0)
-        excess = max(exc, default=0.0)
         outcomes.append(RestartOutcome(
             idx, residual, excess,
-            residual < cfg.tol_feas and excess < cfg.tol_cap, rep))
+            residual < cfg.tol_feas and excess < cfg.tol_cap,
+            _unpack(th, syms, d, p.flavor), res, value))
     return SearchResult(d, cfg, outcomes, diag)
 
 
-@dataclass
-class Witness:
-    rep: MatrixRep
-    residual: float
-    value: float  # operator norm of the refuted element
+def _best_above(result: SearchResult, floor: float) -> RestartOutcome | None:
+    """The first feasible restart of largest reward value, if that value
+    exceeds floor."""
+    best = max(result.feasible, key=lambda o: o.value, default=None)
+    return best if best is not None and best.value > floor else None
 
 
 def refute_redundancy(p: Presentation, q: NF, d: int, cfg: SearchConfig,
-                      registry) -> Witness | None:
+                      registry) -> RestartOutcome | None:
     """Search for a near-representation where q evaluates far from zero.
 
     A witness has every relation residual below tol_feas, caps respected,
-    and ||eval(q)|| above 10 * tol_feas: then q is not in the closed ideal
-    generated by the relations, so citing it as redundant is refuted.
-    Returning None proves nothing.
+    and ||eval(q)|| (its `value`) above 10 * tol_feas: then q is not in
+    the closed ideal generated by the relations, so citing it as
+    redundant is refuted.  Returning None proves nothing.
     """
     result = search_feasible(p, d, cfg, registry, reward_term=q)
-    best = None
-    for o in result.feasible:
-        val = op_norm(eval_term(o.rep, q, registry, strict_herm=False))
-        if val > WITNESS_FACTOR * cfg.tol_feas:
-            if best is None or val > best.value:
-                best = Witness(o.rep, o.residual, val)
-    return best
+    return _best_above(result, WITNESS_FACTOR * cfg.tol_feas)
 
 
 def norm_lower_bound(p: Presentation, t: NF, d: int, cfg: SearchConfig,
@@ -574,13 +578,9 @@ def norm_lower_bound(p: Presentation, t: NF, d: int, cfg: SearchConfig,
     Always a valid lower bound for the quotient norm up to the search
     tolerances; 0.0 when no feasible representation was found.
     """
-    result = search_feasible(p, d, cfg, registry, reward_term=t)
-    best_val, best_rep = 0.0, None
-    for o in result.feasible:
-        val = op_norm(eval_term(o.rep, t, registry, strict_herm=False))
-        if val > best_val:
-            best_val, best_rep = val, o.rep
-    return best_val, best_rep
+    best = _best_above(search_feasible(p, d, cfg, registry, reward_term=t),
+                       0.0)
+    return (0.0, None) if best is None else (best.value, best.rep)
 
 
 # -- JSON rendering -------------------------------------------------------------
@@ -597,8 +597,7 @@ def rep_to_json(rep: MatrixRep) -> dict:
     }
 
 
-def result_to_json(p: Presentation, result: SearchResult,
-                   registry) -> dict:
+def result_to_json(p: Presentation, result: SearchResult) -> dict:
     best = result.best
     return {
         "dim": result.dim,
@@ -616,9 +615,8 @@ def result_to_json(p: Presentation, result: SearchResult,
             "cap_excess": best.cap_excess,
             "feasible": best.feasible,
             "rep": rep_to_json(best.rep),
-            "relation_residuals": dict(zip(
-                p.relation_names(),
-                relation_residuals(p, best.rep, registry))),
+            "relation_residuals": dict(zip(p.relation_names(),
+                                           best.residuals)),
         },
         "herm_err": result.diag.herm_err,
         "clamp": result.diag.clamp,

@@ -235,15 +235,10 @@ def _build_justification(step: ScriptStep, gens: NormedSet, registry):
     if step.just_kind == "oracle":
         return tietze.OraclePending("declared oracle step")
     if step.just_kind == "cert":
-        summands = []
-        for a, rel, starred, b in step.cert_items:
-            try:
-                na = parse_term(a, gens, registry)
-                nb = parse_term(b, gens, registry)
-            except ParseError as e:
-                raise ScriptError("line %d: %s" % (step.lineno, e))
-            summands.append((na, rel, starred, nb))
-        return tietze.Certificate(tuple(summands))
+        return tietze.Certificate(tuple(
+            (parse_term(a, gens, registry), rel, starred,
+             parse_term(b, gens, registry))
+            for a, rel, starred, b in step.cert_items))
     if step.just_kind == "fclemma":
         schema = registry.schema(step.schema)
         bindings = {}
@@ -259,12 +254,11 @@ def _build_justification(step: ScriptStep, gens: NormedSet, registry):
                         bindings[var] = parse_scalar(text)
                     except ParseError:
                         bindings[var] = parse_term(text, gens, registry)
-            except ParseError as e:
-                raise ScriptError("line %d: binding %s: %s"
-                                  % (step.lineno, var, e))
+            except ValueError as e:
+                raise ScriptError("binding %s: %s" % (var, e))
         return tietze.LemmaCitation(step.schema,
                                     tuple(sorted(bindings.items())))
-    raise ScriptError("line %d: step has no justification" % step.lineno)
+    raise ScriptError("step has no justification")
 
 
 def build_derivation(script: Script, registry) -> tuple:
@@ -300,8 +294,8 @@ def build_derivation(script: Script, registry) -> tuple:
                 move = tietze.RemoveGenerators(((step.name, step.via),))
                 gens = gens.without(step.name)
             else:  # pragma: no cover - load_script rejects other kinds
-                raise ScriptError("line %d: unknown step" % step.lineno)
-        except ParseError as e:
+                raise ScriptError("unknown step")
+        except ValueError as e:
             raise ScriptError("line %d: %s" % (step.lineno, e))
         moves.append(move)
         labels.append(step.label())

@@ -339,7 +339,7 @@ def _suite_spectral_soundness(rng, reg, n):
         val = eval_term(rep, t, reg)
         assert op_norm(val) <= float(bounds.norm_bound(t, ctx)) + 1e-6
         s = t + star(t, reg.entire_fns)
-        ival = bounds.spectral_interval(s, gens, reg, ctx)
+        ival = bounds.interval(s, ctx)
         eigs = np.linalg.eigvalsh(eval_term(rep, s, reg))
         assert float(ival.lo) - 1e-6 <= eigs.min()
         assert eigs.max() <= float(ival.hi) + 1e-6

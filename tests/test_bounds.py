@@ -18,14 +18,15 @@ def one_gen(f):
 
 def test_square_positivity(reg):
     g = one_gen(3)
-    iv = bounds.spectral_interval(star(gen_nf("x")) * gen_nf("x"), g, reg)
+    iv = bounds.interval(star(gen_nf("x")) * gen_nf("x"),
+                         bounds.Context(g, reg))
     assert iv.lo == XS(0)
     assert iv.hi == XS(9)
 
 
 def test_sum_triangle(reg):
     g = one_gen(1)
-    iv = bounds.spectral_interval(gen_nf("x") + adj_nf("x"), g, reg)
+    iv = bounds.interval(gen_nf("x") + adj_nf("x"), bounds.Context(g, reg))
     assert iv.lo == XS(-2)
     assert iv.hi == XS(2)
 
@@ -33,26 +34,26 @@ def test_sum_triangle(reg):
 def test_unit_plus_positive_call(reg):
     g = one_gen(2)
     t = parse_term("1 + p((x - x*)*(x - x*))", g, reg)
-    iv = bounds.spectral_interval(t, g, reg)
+    iv = bounds.interval(t, bounds.Context(g, reg))
     assert iv.lo is not None and iv.lo.cmp(XS(1)) >= 0
 
 
 def test_unit_plus_square_is_invertible(reg):
     g = one_gen(2)
     t = parse_term("1 + (x - x*)*(x - x*)", g, reg)
-    iv = bounds.spectral_interval(t, g, reg)
+    iv = bounds.interval(t, bounds.Context(g, reg))
     assert iv.lo == XS(1)
     # wide enough cap above: 1 + (2 + 2)^2
     assert iv.hi is not None and iv.hi.cmp(XS(17)) <= 0
 
 
 def test_norm_upper_general_term(reg):
-    g = one_gen(1)
+    ctx = bounds.Context(one_gen(1), reg)
     x = gen_nf("x")
-    assert bounds.norm_upper(x * x - x, g, reg).cmp(XS(2)) <= 0
-    assert bounds.norm_upper(x * Fraction(0), g, reg) == XS(0)
+    assert bounds.norm_bound(x * x - x, ctx).cmp(XS(2)) <= 0
+    assert bounds.norm_bound(x * Fraction(0), ctx) == XS(0)
     # scalar norm is exact
-    v = bounds.norm_upper(x * 0 + star(x) * 0 + gen_nf("x") * 0, g, reg)
+    v = bounds.norm_bound(x * 0 + star(x) * 0 + gen_nf("x") * 0, ctx)
     assert v == XS(0)
 
 
@@ -106,7 +107,7 @@ def test_intervals_never_empty_and_scalars_exact(reg):
     g = one_gen(1)
     t = parse_term("3/4 - 1i x + 1i x*", g, reg)
     # self-adjoint: scalar shift plus i(x* - x)
-    iv = bounds.spectral_interval(t, g, reg)
+    iv = bounds.interval(t, bounds.Context(g, reg))
     assert iv.lo == XS(Fraction(-5, 4))
     assert iv.hi == XS(Fraction(11, 4))
 

@@ -359,3 +359,32 @@ def test_parse_error_exit_2(capsys, corpus):
                        str(corpus / "self_adjoint.pres"), "--manifest", "")
     assert code == 2
     assert "error:" in err
+
+
+def test_deep_nesting_is_exit_2(capsys, corpus, tmp_path):
+    # a term argument and a relation line, each nested past Python's
+    # recursion limit
+    sa = str(corpus / "self_adjoint.pres")
+    deep = tmp_path / "deep.pres"
+    deep.write_text("flavor: unital\ngenerators:\n  x : 1\nrelations:\n"
+                    "  deep : %sx + x*%s = 0\n" % ("p(" * 400, ")" * 400))
+    for argv in (("normbound", "(" * 3000 + "x" + ")" * 3000, "-p", sa),
+                 ("normbound", "p(" * 400 + "x + x*" + ")" * 400, "-p", sa),
+                 ("parse", "-p", str(deep))):
+        code, out, err = run(capsys, *argv, "--manifest", "")
+        assert code == 2
+        assert out == ""
+        assert err == "error: input is nested too deeply\n"
+
+
+def test_bad_symbol_in_drv_step_reports_its_line(capsys, corpus, tmp_path):
+    (tmp_path / "sa.pres").write_text(
+        (corpus / "self_adjoint.pres").read_text())
+    for step in ("addgen y : 1 := 1/2 z + 1/2",
+                 "delrel r by cert[(z) r (1)]"):
+        script = tmp_path / "bad_symbol.drv"
+        script.write_text("start: sa.pres\nend: sa.pres\n\n1. %s\n" % step)
+        code, out, err = run(capsys, "check", str(script), "--manifest", "")
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 4: unknown symbol 'z'\n"

@@ -27,6 +27,45 @@ def test_exp_bounds_sandwich():
     assert float(hi - lo) < 1e-40
 
 
+def test_nested_exp_bounds_stay_small_and_sound(reg):
+    # bounds of entire calls are rounded outward to 64-bit dyadics, so
+    # nesting exp no longer multiplies the bit size of the bound
+    import dataclasses
+    import time
+    g = NormedSet()
+    g.add("x", XS(Fraction(1, 10)))
+    fns = fcalc.builtin_functions()
+    fns["exp"] = dataclasses.replace(
+        fns["exp"],
+        range_on=lambda iv, pr: Ival(XS(exp_bounds(iv.lo.lower())[0]),
+                                     XS(exp_bounds(iv.hi.upper())[1])),
+        norm_majorant=lambda nb, pr: XS(exp_bounds(nb.upper())[1]))
+    exact_reg = fcalc.Registry(fns)
+    rng = np.random.default_rng(8)
+    elapsed = 0.0
+    for n in range(1, 5):
+        t = parse_term("exp(" * n + "x" + ")" * n, g, reg)
+        t0 = time.perf_counter()
+        b = bounds.norm_bound(t, bounds.Context(g, reg))
+        elapsed += time.perf_counter() - t0
+        assert b.b == 0
+        den = b.a.denominator
+        assert den & (den - 1) == 0, (n, den.bit_length())
+        if n <= 2:
+            exact = bounds.norm_bound(t, bounds.Context(g, exact_reg))
+            assert b.cmp(exact) >= 0
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            m *= rng.uniform(0, 0.1) / repsearch.op_norm(m)
+            if rng.random() < 0.25:
+                m = 0.1 * np.eye(d, dtype=complex)
+            val = repsearch.op_norm(
+                repsearch.eval_term(repsearch.MatrixRep(d, {"x": m}), t, reg))
+            assert val <= float(b) * (1 + 1e-9), (n, val, float(b))
+    assert elapsed < 0.5
+
+
 def test_function_range_maps(reg):
     p = reg.function("p")
     assert p.range_on(Ival(XS(-2), XS(3)), ()) == Ival(XS(0), XS(3))

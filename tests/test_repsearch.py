@@ -10,9 +10,8 @@ from cstarpres.parser import parse_term
 from cstarpres.presentation import (Presentation, Relation,
                                     load_presentation, parse_presentation)
 from cstarpres.repsearch import (EvalDiag, EvalError, MatrixRep, SearchConfig,
-                                 cap_excesses, eval_term, norm_lower_bound,
-                                 op_norm, refute_redundancy,
-                                 relation_residuals, result_to_json,
+                                 eval_term, norm_lower_bound, op_norm,
+                                 refute_redundancy, result_to_json,
                                  search_feasible)
 from cstarpres.terms import (CALL, NF, NormedSet, adj_nf, gen_nf, nf_coerce,
                              star)
@@ -159,7 +158,6 @@ def _kink_free(rep, t, reg, gap=1e-3):
 def _assert_gradient_matches_fd(p, q, d, reg, seed, points=3):
     rng = np.random.default_rng(seed)
     syms = p.gens.names()
-    cfg = SearchConfig()
     bodies = [r.body for r in p.relations] + [q]
     checked = 0
     for _ in range(50 * points):
@@ -171,12 +169,15 @@ def _assert_gradient_matches_fd(p, q, d, reg, seed, points=3):
         def f(t):
             # the search objective, evaluated without any gradient code
             r = repsearch._unpack(t, syms, d, p.flavor)
-            val = sum(v * v for v in relation_residuals(p, r, reg))
-            val += cfg.penalty * sum(e * e for e in cap_excesses(p, r))
-            return val - cfg.reward * np.linalg.norm(
+            val = sum(np.linalg.norm(eval_term(r, b, reg, strict_herm=False))
+                      ** 2 for b in bodies[:-1])
+            val += SearchConfig.penalty * sum(
+                max(0.0, op_norm(r.assign[s]) - float(p.gens.norm(s))) ** 2
+                for s in syms)
+            return val - SearchConfig.reward * np.linalg.norm(
                 eval_term(r, q, reg, strict_herm=False)) ** 2
 
-        _, grad = repsearch._Objective(p, d, reg, cfg, q)(theta[None])
+        _, grad = repsearch._Objective(p, d, reg, q)(theta[None])
         grad = grad[0]
         fd = _fd_grad(f, theta)
         denom = max(np.linalg.norm(fd), 1e-12)
@@ -253,7 +254,7 @@ def test_search_sa_dim1(reg, corpus):
 
 def test_search_determinism(reg, corpus):
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
-    cfg = SearchConfig(restarts=3, max_iters=60, polish=False)
+    cfg = SearchConfig(restarts=3, max_iters=60)
     r1 = search_feasible(p, 2, cfg, reg)
     r2 = search_feasible(p, 2, cfg, reg)
     assert [o.residual for o in r1.outcomes] == [o.residual for o in r2.outcomes]
@@ -272,14 +273,22 @@ def test_search_determinism_with_calls(reg, corpus):
             assert np.array_equal(a.rep.assign[s], b.rep.assign[s])
 
 
+def _adam_residuals(p, reg, restarts=2, iters=60):
+    """Largest relation residual of each restart after the Adam stage of
+    a seed-0 search at d = 2, before any polish."""
+    objective = repsearch._Objective(p, 2, reg)
+    theta = np.stack([repsearch._start(objective.caps, 2, 0, idx)
+                      for idx in range(restarts)])
+    theta = repsearch._adam(objective, theta, iters, SearchConfig.lr)
+    return [max(res) for res, _, _ in objective.score(theta, EvalDiag())]
+
+
 def test_call_free_search_trajectory_is_pinned(reg, corpus):
     # residuals of the call-free Adam path, recorded before call atoms got
     # an analytic gradient; the shared backward pass must reproduce them
     # bit for bit
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
-    res = search_feasible(
-        p, 2, SearchConfig(restarts=2, max_iters=60, polish=False), reg)
-    assert [o.residual for o in res.outcomes] == [
+    assert _adam_residuals(p, reg) == [
         0.010569778452497075, 0.022029814083569965]
 
 
@@ -288,10 +297,50 @@ def test_call_search_trajectory_is_pinned(reg, corpus):
     # restart still ran its own Adam; the batched one must reproduce them
     # bit for bit
     p = load_presentation(str(corpus / "left_inv_end.pres"), reg)
-    res = search_feasible(
-        p, 2, SearchConfig(restarts=2, max_iters=60, polish=False), reg)
-    assert [o.residual for o in res.outcomes] == [
+    assert _adam_residuals(p, reg) == [
         0.05419546542064029, 0.11986814865775657]
+
+
+def test_search_scores_match_single_evaluations(reg, corpus):
+    # the one scoring pass over all restarts gives, bit for bit, what
+    # eval_term and op_norm give on each restart's rep alone
+    cfg = SearchConfig(restarts=3, max_iters=40)
+    for path in sorted(corpus.glob("*.pres")):
+        p = load_presentation(str(path), reg)
+        names = p.gens.names()
+        q = gen_nf(names[0]) * adj_nf(names[-1]) + p.relations[0].body
+        for o in search_feasible(p, 2, cfg, reg, reward_term=q).outcomes:
+            single = [float(np.linalg.norm(
+                eval_term(o.rep, r.body, reg, strict_herm=False)))
+                for r in p.relations]
+            assert o.residuals == single, path.name
+            assert o.residual == max(single)
+            assert o.cap_excess == max(
+                max(0.0, op_norm(o.rep.assign[s]) - float(p.gens.norm(s)))
+                for s in names)
+            assert o.value == op_norm(
+                eval_term(o.rep, q, reg, strict_herm=False)), path.name
+
+
+def test_search_makes_no_second_evaluation(reg, corpus, monkeypatch):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("eval_term called during a search")
+    monkeypatch.setattr(repsearch, "eval_term", no_eval)
+    p = load_presentation(str(corpus / "left_inv_end.pres"), reg)
+    cfg = SearchConfig(restarts=2, max_iters=40)
+    doc = result_to_json(p, search_feasible(p, 2, cfg, reg))
+    assert list(doc["best"]["relation_residuals"]) == p.relation_names()
+    q = gen_nf("u")
+    norm_lower_bound(p, q, 2, cfg, reg)
+    refute_redundancy(p, q, 2, cfg, reg)
+
+
+def test_search_config_has_three_fields():
+    for knob in ("polish", "penalty", "tol_feas", "lr", "reward", "tol_cap"):
+        with pytest.raises(TypeError):
+            SearchConfig(**{knob: 1})
+    cfg = SearchConfig(seed=3, restarts=2, max_iters=5)
+    assert (cfg.tol_feas, cfg.tol_cap) == (1e-8, 1e-6)
 
 
 def _calls_presentation(reg):
@@ -304,7 +353,7 @@ def _calls_presentation(reg):
 def test_batched_rows_equal_single_evaluations(reg):
     p = _calls_presentation(reg)
     q = parse_term("y* sin(x) + p(x + x*)", p.gens, reg)
-    objective = repsearch._Objective(p, 2, reg, SearchConfig(), q)
+    objective = repsearch._Objective(p, 2, reg, q)
     theta = np.random.default_rng(3).standard_normal((3, 16))
     theta[1] *= 0.3  # inside both caps; rows 0 and 2 pay the cap penalty
     val, grad = objective(theta)
@@ -320,7 +369,7 @@ def test_each_call_atom_evaluated_once_per_step(reg, monkeypatch):
     # p(x + x*), which the reward term shares
     p = _calls_presentation(reg)
     q = parse_term("y* p(x + x*)", p.gens, reg)
-    objective = repsearch._Objective(p, 2, reg, SearchConfig(), q)
+    objective = repsearch._Objective(p, 2, reg, q)
     theta = np.random.default_rng(4).standard_normal((2, 16))
     calls = []
     eigh = np.linalg.eigh
@@ -382,7 +431,7 @@ def test_search_size_below_one_is_value_error(reg, corpus, d, restarts):
 def test_result_json_schema(reg, corpus, schemas_dir):
     p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
     res = search_feasible(p, 2, SearchConfig(restarts=2, max_iters=80), reg)
-    doc = result_to_json(p, res, reg)
+    doc = result_to_json(p, res)
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
         (schemas_dir / "repsearch_report.schema.json").read_text())
