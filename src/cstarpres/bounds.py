@@ -112,8 +112,7 @@ class Context:
         self.sa: set[str] = set()
         self.caps: dict[str, XS] = {s: gens.norm(s) for s in gens}
         self.sym_ival: dict[str, Ival] = {}
-        self.elem_facts: list[tuple[NF, Ival]] = []
-        self._elem_keys: set[NF] = set()
+        self.elem_facts: dict[NF, Ival] = {}
         self.version = 0
         self.rounds = 0
         self.converged = True
@@ -147,49 +146,50 @@ class Context:
                 self._changed()
 
     def add_elem_fact(self, key: NF, iv: Ival):
-        if key in self._elem_keys:
-            for i, (k, old) in enumerate(self.elem_facts):
-                if k == key:
-                    merged = old.intersect(iv)
-                    if merged is not None and merged != old:
-                        self.elem_facts[i] = (k, merged)
-                        self._changed()
-                    return
-        self._elem_keys.add(key)
-        self.elem_facts.append((key, iv))
+        old = self.elem_facts.get(key)
+        if old is not None:
+            iv = old.intersect(iv)
+            if iv is None or iv == old:
+                return
+        self.elem_facts[key] = iv
         self._changed()
 
 
 # -- self-adjointness modulo declared facts ------------------------------
 
 def sa_normalize(t: NF, ctx: Context) -> NF:
-    """Rewrite s* -> s for every symbol declared self-adjoint."""
+    """Rewrite s* -> s for every symbol declared self-adjoint; t itself
+    when nothing changes."""
     if not ctx.sa:
         return t
     out: dict[Monomial, Coeff] = {}
+    changed = False
     for m, c in t.items():
         nm = tuple(_sa_atom(a, ctx) for a in m)
+        changed = changed or nm != m
         s = out.get(nm)
         out[nm] = c if s is None else s + c
-    return NF(out)
+    return NF(out) if changed else t
 
 
 def _sa_atom(a: Atom, ctx: Context) -> Atom:
     if a.kind == ADJ and a.sym in ctx.sa:
         return Atom(GEN, a.sym)
     if a.kind == CALL:
-        return Atom(CALL, a.sym, sa_normalize(a.arg, ctx), a.params)
+        arg = sa_normalize(a.arg, ctx)
+        if arg is not a.arg:
+            return Atom(CALL, a.sym, arg, a.params)
     return a
 
 
 def _star_mod(m: Monomial, ctx: Context) -> Monomial:
-    sm = star_monomial(m, ctx.registry.entire_fns)
+    sm = star_monomial(m)
     return tuple(_sa_atom(a, ctx) for a in sm)
 
 
 def is_sa_mod(t: NF, ctx: Context) -> bool:
     tn = sa_normalize(t, ctx)
-    return sa_normalize(star(t, ctx.registry.entire_fns), ctx) == tn
+    return sa_normalize(star(t), ctx) == tn
 
 
 # -- exact PSD test for homogeneous Gram matrices -------------------------
@@ -300,7 +300,7 @@ def _norm_bound(t: NF, ctx: Context) -> XS:
         if r.cmp(best) < 0:
             best = r
     if len(t) <= 8:
-        sq = star(t, ctx.registry.entire_fns) * t
+        sq = star(t) * t
         if len(sq) <= 64:
             r = interval(sq, ctx).hi.sqrt_outward(up=True)
             if r.cmp(best) < 0:
@@ -366,7 +366,7 @@ def _interval(t: NF, ctx: Context) -> Ival:
     # element facts, up to a scalar shift; a key was normalised when its
     # fact was absorbed, and symbols declared self-adjoint since then
     # must be normalised here too
-    for key, iv in ctx.elem_facts:
+    for key, iv in ctx.elem_facts.items():
         diff = (t - sa_normalize(key, ctx)).as_scalar()
         if diff is not None and diff.is_real:
             got = out.intersect(iv.shift(XS(diff.re)))
@@ -427,7 +427,6 @@ def _two_monomials(b: NF) -> list[tuple[Monomial, Coeff]] | None:
 
 
 def _absorb_relation(body: NF, ctx: Context):
-    reg = ctx.registry
     # x - x* : declared self-adjoint
     pair = _two_monomials(body)
     if pair is not None:
@@ -474,7 +473,7 @@ def _absorb_relation(body: NF, ctx: Context):
             continue
         a_nf = body * (Coeff.ONE / c) + NF({m0: Coeff.ONE})
         half = Coeff(Fraction(1, 2))
-        if (a_nf + star(a_nf, reg.entire_fns)) * half != w:
+        if (a_nf + star(a_nf)) * half != w:
             continue
         nb = norm_bound(a_nf, ctx)
         key = sa_normalize(a_nf, ctx)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import XS, Coeff
-from .terms import CALL, NF, NormedSet, call_nf, nf_coerce, star
+from .terms import CALL, NF, NormedSet, call_nf, is_selfadjoint, nf_coerce, star
 from . import bounds
 from .bounds import Ival, Context
 
@@ -324,21 +324,20 @@ def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSym
 MACRO_NAMES = ("norm_le", "left_inv", "right_inv", "inv")
 
 
-def geq_zero_body(a: NF, registry) -> NF:
+def geq_zero_body(a: NF) -> NF:
     """a >= 0 becomes a - p((a + a*)/2)."""
     half = Coeff(Fraction(1, 2))
-    re_a = (a + star(a, registry.entire_fns)) * half
+    re_a = (a + star(a)) * half
     return a - call_nf("p", re_a)
 
 
-def leq_body(a: NF, b: NF, registry) -> NF:
-    ent = registry.entire_fns
-    if star(a, ent) != a or star(b, ent) != b:
+def leq_body(a: NF, b: NF) -> NF:
+    if not (is_selfadjoint(a) and is_selfadjoint(b)):
         raise MacroError("both sides of an order relation must be self-adjoint")
-    return geq_zero_body(b - a, registry)
+    return geq_zero_body(b - a)
 
 
-def match_geq_body(body: NF, registry) -> NF | None:
+def match_geq_body(body: NF) -> NF | None:
     """Inverse of geq_zero_body: recover a from a - p((a + a*)/2), or None."""
     calls = [(m, c) for m, c in body.items()
              if len(m) == 1 and m[0].kind == CALL and m[0].sym == "p"]
@@ -346,7 +345,7 @@ def match_geq_body(body: NF, registry) -> NF | None:
         if c != -Coeff.ONE:
             continue
         a = body + NF({mono: Coeff.ONE})
-        if geq_zero_body(a, registry) == body:
+        if geq_zero_body(a) == body:
             return a
     return None
 
@@ -358,37 +357,37 @@ def _require_normvalue(c: XS, who: str) -> Fraction:
     return sq.as_fraction()
 
 
-def norm_le_body(a: NF, c: XS, registry) -> NF:
+def norm_le_body(a: NF, c: XS) -> NF:
     """||a|| <= c encoded as c^2 a*a - (a*a)^2 >= 0."""
     c2 = _require_normvalue(c, "norm_le")
-    aa = star(a, registry.entire_fns) * a
-    return geq_zero_body(aa * Coeff(c2) - aa * aa, registry)
+    aa = star(a) * a
+    return geq_zero_body(aa * Coeff(c2) - aa * aa)
 
 
-def left_inv_body(a: NF, c: XS, registry) -> NF:
+def left_inv_body(a: NF, c: XS) -> NF:
     """left-invertible with a left inverse of norm <= c: c^2 a*a - 1 >= 0."""
     c2 = _require_normvalue(c, "left_inv")
-    aa = star(a, registry.entire_fns) * a
-    return geq_zero_body(aa * Coeff(c2) - nf_coerce(1), registry)
+    aa = star(a) * a
+    return geq_zero_body(aa * Coeff(c2) - nf_coerce(1))
 
 
-def right_inv_body(a: NF, c: XS, registry) -> NF:
+def right_inv_body(a: NF, c: XS) -> NF:
     c2 = _require_normvalue(c, "right_inv")
-    aa = a * star(a, registry.entire_fns)
-    return geq_zero_body(aa * Coeff(c2) - nf_coerce(1), registry)
+    aa = a * star(a)
+    return geq_zero_body(aa * Coeff(c2) - nf_coerce(1))
 
 
-def expand_macro(name: str, a: NF, c: XS, registry) -> list[tuple[str, NF]]:
+def expand_macro(name: str, a: NF, c: XS) -> list[tuple[str, NF]]:
     """Expand a macro into (suffix, body) pairs; most give a single body."""
     if name == "norm_le":
-        return [("", norm_le_body(a, c, registry))]
+        return [("", norm_le_body(a, c))]
     if name == "left_inv":
-        return [("", left_inv_body(a, c, registry))]
+        return [("", left_inv_body(a, c))]
     if name == "right_inv":
-        return [("", right_inv_body(a, c, registry))]
+        return [("", right_inv_body(a, c))]
     if name == "inv":
-        return [("_l", left_inv_body(a, c, registry)),
-                ("_r", right_inv_body(a, c, registry))]
+        return [("_l", left_inv_body(a, c)),
+                ("_r", right_inv_body(a, c))]
     raise MacroError("unknown macro %r" % name)
 
 
@@ -413,26 +412,23 @@ class LemmaSchema:
     doc: str = ""
 
 
-def range_projection_formula(y: NF, registry) -> NF:
+def range_projection_formula(y: NF) -> NF:
     """y y* (1 + (y - y*)*(y - y*))^(-1), the range support of an idempotent."""
-    ent = registry.entire_fns
-    d = y - star(y, ent)
-    inner = nf_coerce(1) + star(d, ent) * d
-    return y * star(y, ent) * call_nf("inv_lb", inner, (XS(1),))
+    d = y - star(y)
+    inner = nf_coerce(1) + star(d) * d
+    return y * star(y) * call_nf("inv_lb", inner, (XS(1),))
 
 
-def polar_isometry_formula(x: NF, mu: XS, m: XS, registry) -> NF:
+def polar_isometry_formula(x: NF, mu: XS, m: XS) -> NF:
     """mu x (p(mu sqrt(x*x) - 1) + 1)^(-1)."""
-    ent = registry.entire_fns
-    q = call_nf("sqrt", star(x, ent) * x)
+    q = call_nf("sqrt", star(x) * x)
     inner = call_nf("p", q * Coeff(mu.as_fraction()) - nf_coerce(1)) + nf_coerce(1)
     return x * Coeff(mu.as_fraction()) * call_nf("inv_lb", inner, (m,))
 
 
-def two_projection_x_formula(r: NF, k: NF, lam: XS, m: XS, registry) -> NF:
+def two_projection_x_formula(r: NF, k: NF, lam: XS, m: XS) -> NF:
     """(1 - f_lam(r k* k r*))^(-1) (r - r k)."""
-    ent = registry.entire_fns
-    core = r * star(k, ent) * k * star(r, ent)
+    core = r * star(k) * k * star(r)
     inner = nf_coerce(1) - call_nf("f_param", core, (lam,))
     return call_nf("inv_lb", inner, (m,)) * (r - r * k)
 
@@ -445,55 +441,51 @@ def _b_sqrt_square(b: dict, reg: "Registry") -> SchemaData:
 
 def _b_positive_from_interval(b: dict, reg: "Registry") -> SchemaData:
     a = b["A"]
-    return SchemaData(requires=[], gives=[geq_zero_body(a, reg)],
+    return SchemaData(requires=[], gives=[geq_zero_body(a)],
                       positive=[a], sa=[a])
 
 
 def _b_projection_range(b: dict, reg: "Registry") -> SchemaData:
     p_, y = b["P"], b["Y"]
-    ent = reg.entire_fns
     return SchemaData(
-        requires=[y - y * y, p_ - range_projection_formula(y, reg)],
-        gives=[p_ * p_ - p_, star(p_, ent) - p_])
+        requires=[y - y * y, p_ - range_projection_formula(y)],
+        gives=[p_ * p_ - p_, star(p_) - p_])
 
 
 def _b_polar_isometry(b: dict, reg: "Registry") -> SchemaData:
     x, u = b["X"], b["U"]
     mu, m = b["mu"], b["m"]
-    ent = reg.entire_fns
     mu2 = Coeff(mu.as_fraction() ** 2)
-    geq = geq_zero_body(star(x, ent) * x * mu2 - nf_coerce(1), reg)
+    geq = geq_zero_body(star(x) * x * mu2 - nf_coerce(1))
     return SchemaData(
-        requires=[geq, u - polar_isometry_formula(x, mu, m, reg)],
-        gives=[star(u, ent) * u - nf_coerce(1)])
+        requires=[geq, u - polar_isometry_formula(x, mu, m)],
+        gives=[star(u) * u - nf_coerce(1)])
 
 
 def _b_recover_x_polar(b: dict, reg: "Registry") -> SchemaData:
     x, u, q = b["X"], b["U"], b["Q"]
     mu, m = b["mu"], b["m"]
-    ent = reg.entire_fns
     mu2 = Coeff(mu.as_fraction() ** 2)
-    geq = geq_zero_body(star(x, ent) * x * mu2 - nf_coerce(1), reg)
+    geq = geq_zero_body(star(x) * x * mu2 - nf_coerce(1))
     return SchemaData(
         requires=[geq,
-                  q - call_nf("sqrt", star(x, ent) * x),
-                  u - polar_isometry_formula(x, mu, m, reg)],
+                  q - call_nf("sqrt", star(x) * x),
+                  u - polar_isometry_formula(x, mu, m)],
         gives=[x - u * q])
 
 
 def _b_polar_recovery(b: dict, reg: "Registry") -> SchemaData:
     x, u, q = b["X"], b["U"], b["Q"]
     mu, m = b["mu"], b["m"]
-    ent = reg.entire_fns
     mu2 = Coeff(mu.as_fraction() ** 2)
     muq = q * Coeff(mu.as_fraction())
     return SchemaData(
         requires=[x - u * q,
-                  star(u, ent) * u - nf_coerce(1),
-                  geq_zero_body(muq - nf_coerce(1), reg)],
-        gives=[geq_zero_body(star(x, ent) * x * mu2 - nf_coerce(1), reg),
-               q - call_nf("sqrt", star(x, ent) * x),
-               u - polar_isometry_formula(x, mu, m, reg)])
+                  star(u) * u - nf_coerce(1),
+                  geq_zero_body(muq - nf_coerce(1))],
+        gives=[geq_zero_body(star(x) * x * mu2 - nf_coerce(1)),
+               q - call_nf("sqrt", star(x) * x),
+               u - polar_isometry_formula(x, mu, m)])
 
 
 def _b_projection_pair_norm(b: dict, reg: "Registry") -> SchemaData:
@@ -502,9 +494,9 @@ def _b_projection_pair_norm(b: dict, reg: "Registry") -> SchemaData:
     c = (XS(1) - XS(1) / (lam * lam)).sqrt_outward(up=True)  # exact: rational lam
     return SchemaData(
         requires=[x - x * x,
-                  r - range_projection_formula(x, reg),
-                  k - range_projection_formula(nf_coerce(1) - x, reg)],
-        gives=[norm_le_body(r * k, c, reg)],
+                  r - range_projection_formula(x),
+                  k - range_projection_formula(nf_coerce(1) - x)],
+        gives=[norm_le_body(r * k, c)],
         norm_les=[(x, lam)])
 
 
@@ -513,24 +505,23 @@ def _b_recover_x_two_projections(b: dict, reg: "Registry") -> SchemaData:
     lam, m = b["lambda"], b["m"]
     return SchemaData(
         requires=[x - x * x,
-                  r - range_projection_formula(x, reg),
-                  k - range_projection_formula(nf_coerce(1) - x, reg)],
-        gives=[x - two_projection_x_formula(r, k, lam, m, reg)],
+                  r - range_projection_formula(x),
+                  k - range_projection_formula(nf_coerce(1) - x)],
+        gives=[x - two_projection_x_formula(r, k, lam, m)],
         norm_les=[(x, lam)])
 
 
 def _b_two_projection_model(b: dict, reg: "Registry") -> SchemaData:
     x, r, k = b["X"], b["R"], b["K"]
     lam, m = b["lambda"], b["m"]
-    ent = reg.entire_fns
     c = (XS(1) - XS(1) / (lam * lam)).sqrt_outward(up=True)
     return SchemaData(
-        requires=[r * r - r, star(r, ent) - r,
-                  k * k - k, star(k, ent) - k,
-                  norm_le_body(r * k, c, reg),
-                  x - two_projection_x_formula(r, k, lam, m, reg)],
-        gives=[r - range_projection_formula(x, reg),
-               k - range_projection_formula(nf_coerce(1) - x, reg),
+        requires=[r * r - r, star(r) - r,
+                  k * k - k, star(k) - k,
+                  norm_le_body(r * k, c),
+                  x - two_projection_x_formula(r, k, lam, m)],
+        gives=[r - range_projection_formula(x),
+               k - range_projection_formula(nf_coerce(1) - x),
                x - x * x])
 
 
@@ -702,8 +693,6 @@ class Registry:
                  schemata: dict[str, LemmaSchema] | None = None):
         self.functions = functions if functions is not None else builtin_functions()
         self.schemata = schemata if schemata is not None else builtin_schemata()
-        self.entire_fns = frozenset(
-            n for n, f in self.functions.items() if f.domain == "entire")
 
     def function(self, name: str) -> FunctionSymbol | None:
         return self.functions.get(name)
@@ -793,8 +782,7 @@ def instantiate_schema(registry: Registry, name: str, bindings: dict,
         if bounds.is_sa_mod(a, ctx):
             checks.append("self-adjoint (structural)")
             continue
-        ent = registry.entire_fns
-        diff = a - star(a, ent)
+        diff = a - star(a)
         if sa_prover is not None and sa_prover(diff):
             checks.append("self-adjoint (certified)")
             continue
@@ -821,7 +809,9 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
 
     A function block needs at least one piece, and its domain is
     `positive` or `selfadjoint`: a file cannot declare an entire function.
-    A block that breaks either rule raises ValueError.
+    Its pieces, sorted by lower end, must each have LO <= HI, start where
+    the previous one ends, and take the same value there.  A block that
+    breaks any of these rules raises ValueError.
 
     schema NAME:
       vars A B ...
@@ -842,8 +832,7 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
             return
         if cur[0] == "function":
             _, name, info = cur
-            if not info["pieces"]:
-                raise ValueError("registry file: function %s has no piece" % name)
+            _check_pieces(name, info["pieces"])
             fns[name] = piecewise_symbol(name, info["pieces"], info["domain"])
         else:
             _, name, info = cur
@@ -895,6 +884,27 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
                 raise ValueError("registry file: bad schema line %r" % line)
     flush()
     return Registry(fns, schemata)
+
+
+def _check_pieces(name: str, pieces: list[Piece]):
+    """The pieces of a file function must tile one interval, and agree
+    where they meet: the functional calculus needs a continuous function,
+    and the range map knows nothing of gaps."""
+    if not pieces:
+        raise ValueError("registry file: function %s has no piece" % name)
+    for pc in pieces:
+        if pc.lo > pc.hi:
+            raise ValueError("registry file: function %s has a piece with "
+                             "lo %s > hi %s" % (name, pc.lo, pc.hi))
+    pieces = sorted(pieces, key=lambda pc: pc.lo)
+    for prev, pc in zip(pieces, pieces[1:]):
+        if pc.lo != prev.hi:
+            raise ValueError("registry file: function %s has a piece ending "
+                             "at %s and the next starting at %s"
+                             % (name, prev.hi, pc.lo))
+        if prev.eval_exact(pc.lo) != pc.eval_exact(pc.lo):
+            raise ValueError("registry file: function %s is not continuous "
+                             "at %s" % (name, pc.lo))
 
 
 def _text_schema(name: str, info: dict) -> LemmaSchema:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .exact import XS, Coeff
 from .terms import (NF, Atom, CALL, NormedSet, nf_coerce, gen_nf, adj_nf,
-                    star, sorted_monomials, UNIT)
+                    star, is_selfadjoint, sorted_monomials, UNIT)
 
 
 class ParseError(ValueError):
@@ -177,7 +177,7 @@ class _TermParser:
             t = self.st.peek()
             if t[0] == "*":
                 self.st.next()
-                acc = star(acc, self.registry.entire_fns)
+                acc = star(acc)
             elif t[0] == "^":
                 self.st.next()
                 e = self.st.expect("rat")[1]
@@ -241,7 +241,7 @@ class _TermParser:
                             % (name, fn.n_params, len(params)))
         fn.validate_params(tuple(params))
         if fn.domain != "entire":
-            if star(arg, self.registry.entire_fns) != arg:
+            if not is_selfadjoint(arg):
                 raise TermError(
                     "argument of %s must be self-adjoint as a normal form" % name)
         atom = Atom(CALL, name, arg, tuple(params))

@@ -120,11 +120,11 @@ def parse_relation_text(name: str, text: str, gens: NormedSet,
             rhs = parse_term(parts[1], gens, registry)
             try:
                 if op == ">=":
-                    body = fcalc.geq_zero_body(lhs, registry) if rhs.is_zero \
-                        else fcalc.leq_body(rhs, lhs, registry)
+                    body = fcalc.geq_zero_body(lhs) if rhs.is_zero \
+                        else fcalc.leq_body(rhs, lhs)
                 else:
-                    body = fcalc.geq_zero_body(rhs, registry) if lhs.is_zero \
-                        else fcalc.leq_body(lhs, rhs, registry)
+                    body = fcalc.geq_zero_body(rhs) if lhs.is_zero \
+                        else fcalc.leq_body(lhs, rhs)
             except fcalc.MacroError as e:
                 raise ParseError("relation %s: %s" % (name, e))
             return [Relation(name, body, "macro:order")]
@@ -140,7 +140,7 @@ def parse_relation_text(name: str, text: str, gens: NormedSet,
         a = parse_term(",".join(args[:-1]), gens, registry)
         c = parse_scalar(args[-1])
         try:
-            pieces = fcalc.expand_macro(macro, a, c, registry)
+            pieces = fcalc.expand_macro(macro, a, c)
         except fcalc.MacroError as e:
             raise ParseError("relation %s: %s" % (name, e))
         return [Relation(name + suffix, body, "macro:" + macro)
@@ -316,7 +316,7 @@ def join(parts: list[Presentation], auto_rename: bool = True) -> Presentation:
                 ren[name] = gen_nf(new)
             gens.add(new, cap)
         for r in p.relations:
-            body = substitute(r.body, ren, frozenset()) if ren else r.body
+            body = substitute(r.body, ren) if ren else r.body
             new = _fresh(r.name, rel_names)
             if new != r.name:
                 notes.append("renamed relation %s -> %s in part %d"

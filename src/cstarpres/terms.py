@@ -6,8 +6,14 @@ atoms, adjoint atoms, or functional-calculus call atoms whose argument
 is itself a normal form.  The empty word is the unit.
 
 Normal forms are canonical: structural equality is equality of terms in
-the free unital *-algebra over the generators with the call atoms
-treated as opaque letters.
+the free unital *-algebra over the generators, with each call atom a
+letter determined by its symbol, parameters and argument.
+
+The involution needs no registry: every call atom satisfies
+f(a)* = f(a*).  Entire symbols (exp, sin, cos) have real power-series
+coefficients; every other symbol is a real spectral function, and the
+parser only builds it on an argument that is self-adjoint as a normal
+form, where f(a*) = f(a).
 """
 
 from __future__ import annotations
@@ -67,19 +73,17 @@ def adj(sym: str) -> Atom:
     return Atom(ADJ, sym)
 
 
-def call(fn: str, arg: "NF", params: tuple[XS, ...] = ()) -> Atom:
-    return Atom(CALL, fn, arg, params)
-
-
 Monomial = tuple  # tuple[Atom, ...]
 
 UNIT: Monomial = ()
 
 
 class NF(Mapping):
-    """Normal form: immutable mapping monomial -> nonzero Coeff."""
+    """Normal form: immutable mapping monomial -> nonzero Coeff.
 
-    __slots__ = ("_t", "_hash")
+    `_star` caches the adjoint, which is the NF itself when self-adjoint."""
+
+    __slots__ = ("_t", "_hash", "_star")
 
     def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
         t = {}
@@ -91,6 +95,7 @@ class NF(Mapping):
                     t[m] = c
         self._t = t
         self._hash = None
+        self._star = None
 
     # Mapping interface
     def __getitem__(self, m: Monomial) -> Coeff:
@@ -219,40 +224,39 @@ def call_nf(fn: str, arg: NF, params: tuple[XS, ...] = ()) -> NF:
 
 # -- involution --------------------------------------------------------
 
-def star_atom(a: Atom, entire_fns: frozenset[str]) -> Atom:
+def star_atom(a: Atom) -> Atom:
     if a.kind == GEN:
         return Atom(ADJ, a.sym)
     if a.kind == ADJ:
         return Atom(GEN, a.sym)
-    if a.sym in entire_fns:
-        # real power-series coefficients: f(A)* = f(A*)
-        return Atom(CALL, a.sym, star(a.arg, entire_fns), a.params)
-    # real function of a self-adjoint argument is fixed by the involution
-    return a
+    # f(b)* = f(b*); the atom itself when b is self-adjoint
+    arg = star(a.arg)
+    return a if arg is a.arg else Atom(CALL, a.sym, arg, a.params)
 
 
-def star_monomial(m: Monomial, entire_fns: frozenset[str] = frozenset()) -> Monomial:
-    return tuple(star_atom(a, entire_fns) for a in reversed(m))
+def star_monomial(m: Monomial) -> Monomial:
+    return tuple(star_atom(a) for a in reversed(m))
 
 
-def star(t: NF, entire_fns: frozenset[str] = frozenset()) -> NF:
-    out: dict[Monomial, Coeff] = {}
-    for m, c in t.items():
-        sm = star_monomial(m, entire_fns)
-        cc = c.conj()
-        s = out.get(sm)
-        out[sm] = cc if s is None else s + cc
-    return NF(out)
+def star(t: NF) -> NF:
+    s = t._star
+    if s is None:
+        # star_monomial is injective, so no two monomials merge
+        s = NF({star_monomial(m): c.conj() for m, c in t.items()})
+        if s == t:
+            s = t
+        t._star = s
+        s._star = t
+    return s
 
 
-def is_selfadjoint(t: NF, entire_fns: frozenset[str] = frozenset()) -> bool:
-    return t == star(t, entire_fns)
+def is_selfadjoint(t: NF) -> bool:
+    return star(t) is t
 
 
 # -- substitution ------------------------------------------------------
 
-def substitute(t: NF, sub: Mapping[str, NF],
-               entire_fns: frozenset[str] = frozenset()) -> NF:
+def substitute(t: NF, sub: Mapping[str, NF]) -> NF:
     """Apply the unital *-homomorphism sending each generator s in `sub`
     to sub[s] (and s* to star(sub[s])), recursing through call atoms."""
     out = ZERO
@@ -262,9 +266,9 @@ def substitute(t: NF, sub: Mapping[str, NF],
             if a.kind == GEN and a.sym in sub:
                 piece = piece * sub[a.sym]
             elif a.kind == ADJ and a.sym in sub:
-                piece = piece * star(sub[a.sym], entire_fns)
+                piece = piece * star(sub[a.sym])
             elif a.kind == CALL:
-                new_arg = substitute(a.arg, sub, entire_fns)
+                new_arg = substitute(a.arg, sub)
                 piece = piece * NF({(Atom(CALL, a.sym, new_arg, a.params),): Coeff.ONE})
             else:
                 piece = piece * NF({(a,): Coeff.ONE})

@@ -114,23 +114,20 @@ class DerivationReport:
 
 # -- certificate checking -----------------------------------------------------
 
-def expand_certificate(p: Presentation, cert: Certificate,
-                       registry) -> NF:
-    ent = registry.entire_fns
+def expand_certificate(p: Presentation, cert: Certificate) -> NF:
     acc = nf_coerce(0)
     for a, rel_name, starred, b in cert.summands:
         rel = p.relation(rel_name)
         if rel is None:
             raise MoveError("certificate cites unknown relation %r" % rel_name)
-        body = star(rel.body, ent) if starred else rel.body
+        body = star(rel.body) if starred else rel.body
         acc = acc + a * body * b
     return acc
 
 
-def check_certificate(p: Presentation, cert: Certificate, target: NF,
-                      registry) -> bool:
+def check_certificate(p: Presentation, cert: Certificate, target: NF) -> bool:
     """Exact: the expanded sum must normalize to the target."""
-    return expand_certificate(p, cert, registry) == target
+    return expand_certificate(p, cert) == target
 
 
 # -- certificate auto-search ---------------------------------------------------
@@ -187,7 +184,7 @@ def _monomial_coder(atoms, gens: NormedSet):
     return code
 
 
-def search_certificate(relations, target: NF, gens: NormedSet, registry,
+def search_certificate(relations, target: NF, gens: NormedSet,
                        max_degree: int = 1, max_candidates: int = 6000
                        ) -> Certificate | BudgetExhausted | None:
     """Bounded-degree ideal-membership search, exact over Gaussian rationals.
@@ -206,16 +203,15 @@ def search_certificate(relations, target: NF, gens: NormedSet, registry,
     """
     if target.is_zero:
         return Certificate(())
-    ent = registry.entire_fns
     rel_list = list(relations)
     bodies = [body for _, body in rel_list]
-    star_bodies = [star(body, ent) for body in bodies]
+    star_bodies = [star(body) for body in bodies]
     code = _monomial_coder([a for t in [target] + bodies + star_bodies
                            for m in t for a in m], gens)
     coded = [[(code(m), c) for m, c in t.items()]
              for t in bodies + star_bodies]
     n_rels = len(rel_list)
-    has_star = [s != b for s, b in zip(star_bodies, bodies)]
+    has_star = [s is not b for s, b in zip(star_bodies, bodies)]
 
     # pivots: leading code -> (vector, pivot number); origins[number] is
     # (candidate index, elimination steps) with steps (ratio, number) pairs
@@ -329,7 +325,7 @@ def _context_for(p: Presentation, registry, report: StepReport | None = None,
 def _check_justification(ambient: Presentation, target: NF, just, registry,
                          mode: str, label: str, report: StepReport):
     if isinstance(just, Certificate):
-        got = expand_certificate(ambient, just, registry)
+        got = expand_certificate(ambient, just)
         if got != target:
             raise MoveError(
                 "%s: certificate expands to a different element" % label)
@@ -351,7 +347,7 @@ def _check_justification(ambient: Presentation, target: NF, just, registry,
 
         def sa_prover(diff: NF) -> bool:
             return isinstance(search_certificate(amb, diff, ambient.gens,
-                                                 registry, max_degree=1),
+                                                 max_degree=1),
                               Certificate)
 
         try:
@@ -460,7 +456,6 @@ def apply_move(p: Presentation, move, mode: str, registry,
         cur = p
         later = [sym for sym, _ in move.items]
         subs_all: dict[str, NF] = {}
-        ent = registry.entire_fns
         for sym, via in move.items:
             later = later[1:]
             rel = cur.relation(via)
@@ -491,14 +486,14 @@ def apply_move(p: Presentation, move, mode: str, registry,
                             "delgen %s via %s" % (sym, via), report)
             sub = {sym: t}
             new_rels = tuple(
-                Relation(r.name, substitute(r.body, sub, ent), r.origin)
+                Relation(r.name, substitute(r.body, sub), r.origin)
                 for r in rest)
             for r in new_rels:
                 assert sym not in r.body.symbols()
             cur = Presentation(cur.flavor, cur.gens.without(sym), new_rels,
                                cur.notes)
             for g in list(subs_all):
-                subs_all[g] = substitute(subs_all[g], sub, ent)
+                subs_all[g] = substitute(subs_all[g], sub)
             subs_all[sym] = t
         report.notes.append("substitutions: " +
                             ", ".join(sorted(subs_all)))
@@ -526,7 +521,6 @@ def describe_move(move) -> str:
 def check_derivation(d: Derivation, mode: str, registry) -> DerivationReport:
     report = DerivationReport(mode, [])
     cur = d.start
-    ent = registry.entire_fns
     images = {g: gen_nf(g) for g in d.start.gens.names()}
     for i, move in enumerate(d.steps, 1):
         try:
@@ -540,7 +534,7 @@ def check_derivation(d: Derivation, mode: str, registry) -> DerivationReport:
             return report
         report.steps.append(step)
         if step.substitutions:
-            images = {g: substitute(t, step.substitutions, ent)
+            images = {g: substitute(t, step.substitutions)
                       for g, t in images.items()}
     report.images = images
     if structural_equal(cur, d.claimed_end):
@@ -558,11 +552,10 @@ def auto_justify(ambient: Presentation, target: NF, registry,
                  degree: int = 1):
     """Certificate search, then the positivity schema, then oracle-pending."""
     rels = [(r.name, r.body) for r in ambient.relations]
-    found = search_certificate(rels, target, ambient.gens, registry,
-                               max_degree=degree)
+    found = search_certificate(rels, target, ambient.gens, max_degree=degree)
     if isinstance(found, Certificate):
         return found
-    a = fcalc.match_geq_body(target, registry)
+    a = fcalc.match_geq_body(target)
     if a is not None and registry.schema("positive_from_interval") is not None:
         cit = lemma_citation("positive_from_interval", A=a)
         try:
@@ -583,10 +576,9 @@ class BridgeError(ValueError):
     pass
 
 
-def _disjointed(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
-                registry) -> tuple[Presentation, dict, dict]:
+def _disjointed(p1: Presentation, p2: Presentation, dict1: dict,
+                dict2: dict) -> tuple[Presentation, dict, dict]:
     """Rename p2's generators/relations away from p1's (x -> x_2 rule)."""
-    ent = registry.entire_fns
     taken = set(p1.gens.names())
     ren: dict[str, NF] = {}
     gens = NormedSet()
@@ -600,13 +592,13 @@ def _disjointed(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
     for r in p2.relations:
         new = _fresh(r.name, rel_taken)
         rel_taken.add(new)
-        body = substitute(r.body, ren, ent) if ren else r.body
+        body = substitute(r.body, ren) if ren else r.body
         rels.append(Relation(new, body, r.origin))
     if not ren and all(r.name == s.name for r, s in zip(rels, p2.relations)):
         return p2, dict1, dict2
     new_name = {s: next(iter(ren[s].symbols())) if s in ren else s
                 for s in p2.gens.names()}
-    d1 = {s: substitute(t, ren, ent) for s, t in dict1.items()}
+    d1 = {s: substitute(t, ren) for s, t in dict1.items()}
     d2 = {new_name[s]: t for s, t in dict2.items()}
     return Presentation(p2.flavor, gens, tuple(rels), p2.notes), d1, d2
 
@@ -628,7 +620,7 @@ def bridge(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
     for s in p2.gens.names():
         if s not in dict2:
             raise BridgeError("dict2 missing image of %r" % s)
-    p2, dict1, dict2 = _disjointed(p1, p2, dict1, dict2, registry)
+    p2, dict1, dict2 = _disjointed(p1, p2, dict1, dict2)
 
     gens = NormedSet()
     for n, c in p1.gens.items():
@@ -708,7 +700,7 @@ def _next_removal(cur: Presentation, registry, max_degree: int):
     for rel in cur.relations:
         others = [(r.name, r.body) for r in cur.relations
                   if r.name != rel.name]
-        cert = search_certificate(others, rel.body, cur.gens, registry,
+        cert = search_certificate(others, rel.body, cur.gens,
                                   max_degree=max_degree)
         if isinstance(cert, Certificate):
             move = RemoveRelations(((rel.name, cert),))

@@ -246,7 +246,7 @@ def test_contexts_do_not_depend_on_relation_order(reg, corpus):
             shuffled = list(bodies)
             random.Random(seed).shuffle(shuffled)
             ctxs.append(bounds.context_from_relations(p.gens, reg, shuffled))
-        keys = [k for ctx in ctxs for k, _ in ctx.elem_facts]
+        keys = [k for ctx in ctxs for k in ctx.elem_facts]
         first = _context_summary(ctxs[0], keys)
         for seed, ctx in enumerate(ctxs[1:]):
             assert _context_summary(ctx, keys) == first, (path.name, seed)

@@ -329,6 +329,10 @@ def test_registry_env_var(capsys, corpus, tmp_path, monkeypatch, reg):
 @pytest.mark.parametrize("block", [
     "function nopiece:\n  domain selfadjoint\n",
     "function bad:\n  domain entire\n  piece 0 1 : 0 1\n",
+    "function back:\n  piece 1 0 : 0 1\n",
+    "function gap:\n  piece 0 1 : -5\n  piece 2 3 : -5\n",
+    "function overlap:\n  piece 0 2 : 1\n  piece 1 3 : 1\n",
+    "function jump:\n  piece 1 2 : 0 1\n  piece 0 1 : 0\n",
 ])
 def test_bad_registry_file_is_exit_2(capsys, corpus, tmp_path, block):
     extra = tmp_path / "bad.reg"

@@ -96,21 +96,21 @@ def test_macro_expansions_frozen(reg):
     g = NormedSet()
     g.add("x", XS(1))
     x = gen_nf("x")
-    assert format_term(geq_zero_body(x * x, reg), g) == \
+    assert format_term(geq_zero_body(x * x), g) == \
         "-p(1/2 x x + 1/2 x* x*) + x x"
-    assert format_term(norm_le_body(x, XS(0, Fraction(1, 2), 3), reg), g) == \
+    assert format_term(norm_le_body(x, XS(0, Fraction(1, 2), 3)), g) == \
         "-p(3/4 x* x - x* x x* x) + 3/4 x* x - x* x x* x"
-    got = expand_macro("left_inv", x, XS(1), reg)
+    got = expand_macro("left_inv", x, XS(1))
     assert [(s, format_term(b, g)) for s, b in got] == \
         [("", "-1 - p(-1 + x* x) + x* x")]
-    got = expand_macro("inv", x, XS(2), reg)
+    got = expand_macro("inv", x, XS(2))
     assert [(s, format_term(b, g)) for s, b in got] == \
         [("_l", "-1 - p(-1 + 4 x* x) + 4 x* x"),
          ("_r", "-1 - p(-1 + 4 x x*) + 4 x x*")]
     with pytest.raises(MacroError):
-        expand_macro("norm_ge", x, XS(1), reg)
+        expand_macro("norm_ge", x, XS(1))
     with pytest.raises(MacroError):
-        leq_body(x, x * x, reg)  # x is not self-adjoint
+        leq_body(x, x * x)  # x is not self-adjoint
 
 
 def test_match_geq_body_round_trip(reg):
@@ -118,9 +118,9 @@ def test_match_geq_body_round_trip(reg):
     g.add("x", XS(2))
     for text in ["x* x - 1", "1 - x* x", "x + x*"]:
         a = parse_term(text, g, reg)
-        body = geq_zero_body(a, reg)
-        assert match_geq_body(body, reg) == a
-    assert match_geq_body(gen_nf("x") * adj_nf("x"), reg) is None
+        body = geq_zero_body(a)
+        assert match_geq_body(body) == a
+    assert match_geq_body(gen_nf("x") * adj_nf("x")) is None
 
 
 def test_fparam_breakpoint_and_branches(reg):
@@ -232,7 +232,7 @@ def test_instantiate_schema_requires_matching(reg, corpus):
     g.add("r", XS(1))
     x, r = gen_nf("x"), gen_nf("r")
     ambient = [(rel.name, rel.body) for rel in p.relations]
-    ambient.append(("def_r", r - fcalc.range_projection_formula(x, reg)))
+    ambient.append(("def_r", r - fcalc.range_projection_formula(x)))
     ctx = bounds.context_from_relations(g, reg, [b for _, b in ambient])
     inst = instantiate_schema(
         reg, "projection_from_idempotent_range",

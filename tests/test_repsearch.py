@@ -86,6 +86,8 @@ def test_eval_clamp_diagnostics(reg):
 
 
 def test_eval_homomorphism_random(reg):
+    # the terms carry exp(w) and p(w + w*) atoms, so star(a) must map
+    # f(w) to f(w*) with no registry at hand
     rng = np.random.default_rng(5)
     g = NormedSet()
     g.add("x", XS(1))
@@ -95,24 +97,46 @@ def test_eval_homomorphism_random(reg):
             "x": rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
             "y": rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
         })
-        a = _random_poly(rng, 3)
-        b = _random_poly(rng, 3)
+        a = _random_term(rng, 3)
+        b = _random_term(rng, 3)
         ea, eb = eval_term(rep, a, reg), eval_term(rep, b, reg)
-        assert op_norm(eval_term(rep, a * b, reg) - ea @ eb) < 1e-10
-        assert op_norm(eval_term(rep, star(a), reg) - ea.conj().T) < 1e-10
-        assert op_norm(eval_term(rep, a + b, reg) - (ea + eb)) < 1e-10
+        # exp atoms reach norms near 1e9, so the tolerances are relative
+        na, nb = op_norm(ea), op_norm(eb)
+        assert (op_norm(eval_term(rep, a * b, reg) - ea @ eb)
+                < 1e-12 * (1 + na * nb))
+        assert (op_norm(eval_term(rep, star(a), reg) - ea.conj().T)
+                < 1e-12 * (1 + na))
+        assert (op_norm(eval_term(rep, a + b, reg) - (ea + eb))
+                < 1e-12 * (1 + na + nb))
 
 
-def _random_poly(rng, max_deg):
+def _random_term(rng, max_deg):
+    """A random polynomial in x, x*, y, y*, exp(w) and p(w + w*), each w a
+    random word of one or two letters."""
     from cstarpres.exact import Coeff
-    atoms = [gen_nf("x"), adj_nf("x"), gen_nf("y"), adj_nf("y"), nf_coerce(1)]
+    from cstarpres.terms import call_nf
+    letters = [gen_nf("x"), adj_nf("x"), gen_nf("y"), adj_nf("y")]
+
+    def word():
+        w = nf_coerce(1)
+        for _ in range(rng.integers(1, 3)):
+            w = w * letters[rng.integers(0, len(letters))]
+        return w
+
     acc = nf_coerce(0)
     for _ in range(rng.integers(1, 5)):
         c = Coeff(Fraction(int(rng.integers(-9, 10)), 4),
                   Fraction(int(rng.integers(-9, 10)), 4))
         term = nf_coerce(c)
         for _ in range(rng.integers(0, max_deg + 1)):
-            term = term * atoms[rng.integers(0, len(atoms))]
+            k = rng.integers(0, len(letters) + 2)
+            if k < len(letters):
+                term = term * letters[k]
+            elif k == len(letters):
+                term = term * call_nf("exp", word())
+            else:
+                w = word()
+                term = term * call_nf("p", w + star(w))
         acc = acc + term
     return acc
 

@@ -1,10 +1,13 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from cstarpres import bounds, scripts, tietze
 from cstarpres.exact import XS
+from cstarpres.parser import parse_term
+from cstarpres.presentation import load_presentation, to_json_dict
 from cstarpres.scripts import (ScriptError, build_derivation, check_script,
                                load_script, render_report, report_json_text,
                                report_to_json)
@@ -279,3 +282,33 @@ def test_corpus_report_matches_golden(reg, corpus, script, mode, schemata):
                        % (script, mode, "" if schemata else ".no-schemata"))
     assert report_json_text(rep, labels).encode("utf-8") == \
         golden.read_bytes()
+
+
+CORPUS_PRES = sorted(p.name[:-len(".pres")]
+                     for p in (resources.files("cstarpres") / "corpus").iterdir()
+                     if p.name.endswith(".pres"))
+
+
+def _cli_json(argv: str, payload) -> str:
+    return "$ cstarpres %s --json\n%s\n" % (argv, json.dumps(payload, indent=2))
+
+
+@pytest.mark.parametrize("name", CORPUS_PRES)
+def test_corpus_cli_json_matches_golden(reg, corpus, name):
+    """`parse`, `simplify` and `normbound` of g and g* g for each generator
+    g, as their --json payloads, built the way cli.py builds them but from
+    one load of the presentation and one bound context."""
+    p = load_presentation(str(corpus / (name + ".pres")), reg)
+    result, drv = tietze.auto_simplify(p, reg, max_degree=1)
+    out = _cli_json("parse", to_json_dict(p))
+    out += _cli_json("simplify", {
+        "presentation": to_json_dict(result),
+        "moves": [tietze.describe_move(m) for m in drv.steps]})
+    ctx = bounds.context_from_relations(p.gens, reg, p.bodies())
+    for g in p.gens.names():
+        for text in (g, "%s* %s" % (g, g)):
+            ub = bounds.norm_bound(parse_term(text, p.gens, reg), ctx)
+            out += _cli_json("normbound " + text, {
+                "term": text, "upper_bound": str(ub),
+                "upper_bound_float": float(ub)})
+    assert out.encode("utf-8") == (GOLDEN / (name + ".pres.txt")).read_bytes()

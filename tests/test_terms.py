@@ -48,7 +48,17 @@ def test_star_fixes_real_call_on_sa_argument():
 def test_star_entire_call_passes_through_argument():
     x = gen_nf("x")
     t = call_nf("exp", x)
-    assert star(t, frozenset({"exp"})) == call_nf("exp", adj_nf("x"))
+    assert star(t) == call_nf("exp", adj_nf("x"))
+
+
+def test_star_is_cached_on_both_sides():
+    t = gen_nf("x") * call_nf("exp", gen_nf("y") * gen_nf("x"))
+    s = star(t)
+    assert star(t) is s and star(s) is t
+    assert s == call_nf("exp", adj_nf("x") * adj_nf("y")) * adj_nf("x")
+    sa = t + s
+    assert star(sa) is sa and is_selfadjoint(sa)
+    assert not is_selfadjoint(t)
 
 
 def test_substitute_kills_affine_relation():
