@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math as _math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -818,6 +819,11 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
       requires TEMPLATE              (term DSL with ?A placeholders)
       positive TEMPLATE
       gives TEMPLATE
+
+    A placeholder ?NAME is the longest identifier after the `?`, so with
+    `vars A AB` the template `?AB` names AB, not A followed by `B`.  A
+    template that names a placeholder missing from `vars` raises
+    ValueError.
     """
     base = base if base is not None else builtin_registry()
     fns = dict(base.functions)
@@ -907,20 +913,27 @@ def _check_pieces(name: str, pieces: list[Piece]):
                              "at %s" % (name, pc.lo))
 
 
+_PLACEHOLDER = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
+
+
 def _text_schema(name: str, info: dict) -> LemmaSchema:
     tvars = tuple(info["vars"])
+    for template in info["requires"] + info["positive"] + info["gives"]:
+        for v in _PLACEHOLDER.findall(template):
+            if v not in tvars:
+                raise ValueError("registry file: schema %s uses undeclared "
+                                 "placeholder ?%s" % (name, v))
 
     def build(bindings: dict, reg: Registry) -> SchemaData:
         from .parser import format_term, parse_term
 
+        text = {v: "(" + format_term(bindings[v], NormedSet()) + ")"
+                for v in tvars}
+        names = sorted(set(s for v in tvars for s in bindings[v].symbols()))
+        gens = NormedSet((s, XS(10 ** 6)) for s in names)
+
         def subst(template: str) -> NF:
-            txt = template
-            names = []
-            for v in tvars:
-                nf = bindings[v]
-                names.extend(nf.symbols())
-                txt = txt.replace("?" + v, "(" + format_term(nf, NormedSet()) + ")")
-            gens = NormedSet((s, XS(10 ** 6)) for s in sorted(set(names)))
+            txt = _PLACEHOLDER.sub(lambda m: text[m.group(1)], template)
             return parse_term(txt, gens, reg, check_domains=False)
 
         return SchemaData(

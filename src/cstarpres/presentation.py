@@ -292,8 +292,10 @@ def _fresh(name: str, taken: set) -> str:
     return "%s_%d" % (name, i)
 
 
-def join(parts: list[Presentation], auto_rename: bool = True) -> Presentation:
-    """Free product: disjoint union of generators and relations."""
+def join(parts: list[Presentation]) -> Presentation:
+    """Free product: disjoint union of generators and relations.  A name
+    already taken by an earlier part gets the first free suffix _2, _3, ...,
+    and each rename is recorded in the notes."""
     from .terms import substitute, gen_nf
     if not parts:
         raise ValueError("join of no presentations")
@@ -309,8 +311,6 @@ def join(parts: list[Presentation], auto_rename: bool = True) -> Presentation:
         for name, cap in p.gens.items():
             new = _fresh(name, set(gens.names()))
             if new != name:
-                if not auto_rename:
-                    raise ValueError("generator name clash: %r" % name)
                 notes.append("renamed generator %s -> %s in part %d"
                              % (name, new, idx))
                 ren[name] = gen_nf(new)

@@ -21,7 +21,8 @@ from .exact import XS, Coeff
 from .terms import (ADJ, NF, Atom, GEN, Monomial, NormedSet, UNIT, atom_key,
                     gen_nf, nf_coerce, star, substitute, monomial_key,
                     valid_ident)
-from .presentation import Presentation, Relation, _fresh, structural_equal
+from .presentation import (Presentation, Relation, _fresh, join,
+                           structural_equal)
 from . import bounds, fcalc
 
 
@@ -550,22 +551,20 @@ def check_derivation(d: Derivation, mode: str, registry) -> DerivationReport:
 
 def auto_justify(ambient: Presentation, target: NF, registry,
                  degree: int = 1):
-    """Certificate search, then the positivity schema, then oracle-pending."""
+    """Certificate search, then the positivity schema (kept only if it
+    passes `_check_justification` in strict mode), then oracle-pending."""
     rels = [(r.name, r.body) for r in ambient.relations]
     found = search_certificate(rels, target, ambient.gens, max_degree=degree)
     if isinstance(found, Certificate):
         return found
     a = fcalc.match_geq_body(target)
-    if a is not None and registry.schema("positive_from_interval") is not None:
+    if a is not None:
         cit = lemma_citation("positive_from_interval", A=a)
         try:
-            ctx = _context_for(ambient, registry)
-            amb = [(r.name, r.body) for r in ambient.relations]
-            inst = fcalc.instantiate_schema(registry, cit.schema,
-                                            cit.binding_dict(), amb, ctx)
-            if target in inst.gives:
-                return cit
-        except fcalc.LemmaError:
+            _check_justification(ambient, target, cit, registry, "strict",
+                                 "auto", StepReport(0, "addrel", ""))
+            return cit
+        except MoveError:
             pass
     if isinstance(found, BudgetExhausted):
         return OraclePending(found.note)
@@ -576,41 +575,19 @@ class BridgeError(ValueError):
     pass
 
 
-def _disjointed(p1: Presentation, p2: Presentation, dict1: dict,
-                dict2: dict) -> tuple[Presentation, dict, dict]:
-    """Rename p2's generators/relations away from p1's (x -> x_2 rule)."""
-    taken = set(p1.gens.names())
-    ren: dict[str, NF] = {}
-    gens = NormedSet()
-    for s, cap in p2.gens.items():
-        new = _fresh(s, taken | set(gens.names()))
-        if new != s:
-            ren[s] = gen_nf(new)
-        gens.add(new, cap)
-    rel_taken = set(p1.relation_names())
-    rels = []
-    for r in p2.relations:
-        new = _fresh(r.name, rel_taken)
-        rel_taken.add(new)
-        body = substitute(r.body, ren) if ren else r.body
-        rels.append(Relation(new, body, r.origin))
-    if not ren and all(r.name == s.name for r, s in zip(rels, p2.relations)):
-        return p2, dict1, dict2
-    new_name = {s: next(iter(ren[s].symbols())) if s in ren else s
-                for s in p2.gens.names()}
-    d1 = {s: substitute(t, ren) for s, t in dict1.items()}
-    d2 = {new_name[s]: t for s, t in dict2.items()}
-    return Presentation(p2.flavor, gens, tuple(rels), p2.notes), d1, d2
-
-
 def bridge(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
            registry, mode: str = "strict", degree: int = 1):
     """Joint presentation plus derivation skeletons p1 -> joint <- p2.
 
     dict1 maps p1 generators to terms over p2's generators and dict2 the
-    reverse.  Each skeleton adds the other side's generators with their
-    dictionary definitions, then the other side's relations and the
-    remaining dictionary relations, auto-justified where possible.
+    reverse.  p2's generators and relations are renamed apart from p1's
+    as `presentation.join` renames them (x -> x_2), and the dictionaries
+    with them.  Each skeleton is an `addgen` move of the other side's
+    generators with their dictionary definitions, which discharges their
+    norm caps as any `addgen` does, then an `addrel` move of the other
+    side's relations and the remaining dictionary relations,
+    auto-justified where possible.  A move that `apply_move` rejects
+    raises BridgeError.
     """
     if p1.flavor != "unital" or p2.flavor != "unital":
         raise BridgeError("bridge is defined for unital presentations")
@@ -620,55 +597,45 @@ def bridge(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
     for s in p2.gens.names():
         if s not in dict2:
             raise BridgeError("dict2 missing image of %r" % s)
-    p2, dict1, dict2 = _disjointed(p1, p2, dict1, dict2)
+    union = join([p1, p2])
+    new_names = union.gens.names()[len(p1.gens):]
+    ren = {s: gen_nf(n) for s, n in zip(p2.gens.names(), new_names)
+           if s != n}
+    dict1 = {s: substitute(t, ren) for s, t in dict1.items()}
+    dict2 = {n: dict2[s] for s, n in zip(p2.gens.names(), new_names)}
+    p2 = Presentation("unital",
+                      NormedSet((n, union.gens.norm(n)) for n in new_names),
+                      union.relations[len(p1.relations):], p2.notes)
 
-    gens = NormedSet()
-    for n, c in p1.gens.items():
-        gens.add(n, c)
-    for n, c in p2.gens.items():
-        gens.add(n, c)
-    taken = set(p1.relation_names()) | set(p2.relation_names())
+    taken = set(union.relation_names())
     def_name: dict[str, str] = {}
-    for s in gens.names():
+    for s in union.gens.names():
         def_name[s] = _fresh("def_" + s, taken)
         taken.add(def_name[s])
     m1 = [Relation(def_name[s], gen_nf(s) - dict2[s], "derived")
           for s in p2.gens.names()]
     m2 = [Relation(def_name[s], gen_nf(s) - dict1[s], "derived")
           for s in p1.gens.names()]
-    joint = Presentation("unital", gens,
+    joint = Presentation("unital", union.gens,
                          tuple(list(p1.relations) + m1 + list(p2.relations)
                                + m2))
 
-    # norm caps of dictionary images, in the source presentations
-    for src, d, tgt in ((p1, dict2, p2), (p2, dict1, p1)):
-        ctx = _context_for(src, registry)
-        for s, img in d.items():
-            ub = bounds.norm_bound(img, ctx)
-            if ub.cmp(tgt.gens.norm(s)) > 0 and mode == "strict":
-                raise BridgeError(
-                    "dictionary image of %s has bound %s above its cap %s"
-                    % (s, ub, tgt.gens.norm(s)))
-
     def skeleton(src: Presentation, other: Presentation, d: dict,
                  m_other: list) -> Derivation:
-        steps = [AddGenerators(tuple(
-            (s, other.gens.norm(s), d[s]) for s in other.gens.names()))]
-        # apply_move names the defining relations def_<sym>; mirror that so
-        # the certificates below can cite them
-        mid_rels = list(src.relations) + [
-            Relation("def_" + s, gen_nf(s) - d[s], "derived")
-            for s in other.gens.names()]
-        mid = Presentation("unital", gens, tuple(mid_rels))
-        taken = set(r.name for r in mid_rels)
+        add = AddGenerators(tuple(
+            (s, other.gens.norm(s), d[s]) for s in other.gens.names()))
+        try:
+            mid, _ = apply_move(src, add, mode, registry)
+        except MoveError as e:
+            raise BridgeError(str(e)) from None
+        taken = set(mid.relation_names())
         items = []
         for rel in list(other.relations) + m_other:
             nm = _fresh(rel.name, taken)
             taken.add(nm)
             items.append((Relation(nm, rel.body, rel.origin),
                           auto_justify(mid, rel.body, registry, degree)))
-        steps.append(AddRelations(tuple(items)))
-        return Derivation(src, tuple(steps), joint)
+        return Derivation(src, (add, AddRelations(tuple(items))), joint)
 
     drv1 = skeleton(p1, p2, dict2, m2)
     drv2 = skeleton(p2, p1, dict1, m1)

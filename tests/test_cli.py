@@ -333,6 +333,7 @@ def test_registry_env_var(capsys, corpus, tmp_path, monkeypatch, reg):
     "function gap:\n  piece 0 1 : -5\n  piece 2 3 : -5\n",
     "function overlap:\n  piece 0 2 : 1\n  piece 1 3 : 1\n",
     "function jump:\n  piece 1 2 : 0 1\n  piece 0 1 : 0\n",
+    "schema undeclared:\n  vars A\n  gives ?A - ?B\n",
 ])
 def test_bad_registry_file_is_exit_2(capsys, corpus, tmp_path, block):
     extra = tmp_path / "bad.reg"
@@ -343,6 +344,24 @@ def test_bad_registry_file_is_exit_2(capsys, corpus, tmp_path, block):
     assert code == 2
     assert err.startswith("error: registry file:")
 
+
+
+def test_schema_placeholders_match_whole_identifiers(capsys, tmp_path):
+    # with vars A AB, ?AB must not read as ?A followed by B
+    (tmp_path / "swap.reg").write_text(
+        "schema swap:\n  vars A AB\n  requires ?A - ?AB\n"
+        "  gives ?AB - ?A\n")
+    head = "flavor: unital\ngenerators:\n  x : 1\n  y : 1\nrelations:\n"
+    (tmp_path / "xy.pres").write_text(head + "  r : x = y\n")
+    (tmp_path / "yx.pres").write_text(head + "  r : x = y\n  s : y = x\n")
+    (tmp_path / "swap.drv").write_text(
+        "start: xy.pres\nend: yx.pres\n\n"
+        "1. addrel s := y = x by fclemma(swap; A = x, AB = y)\n")
+    code, out, err = run(capsys, "check", str(tmp_path / "swap.drv"),
+                         "--registry", str(tmp_path / "swap.reg"),
+                         "--manifest", "")
+    assert (code, err) == (0, "")
+    assert "overall: PASS" in out
 
 def test_check_strict_with_permissive_is_exit_2(capsys, corpus):
     drv = str(corpus / "idempotent_to_projections.drv")

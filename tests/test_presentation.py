@@ -109,8 +109,6 @@ def test_join_single_and_rename(reg):
     x2 = gen_nf("x_2")
     assert j.relations[1].body == x2 - star(x2)
     assert any("renamed generator x -> x_2" in n for n in j.notes)
-    with pytest.raises(ValueError):
-        join([p, p], auto_rename=False)
 
 
 def test_split_two_factors(reg, corpus):

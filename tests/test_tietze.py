@@ -611,6 +611,25 @@ def test_bridge_requires_total_dictionaries(reg, corpus):
         tietze.bridge(p1, p2, {}, {"y": gen_nf("x")}, reg)
 
 
+
+def test_bridge_image_over_unknown_symbol(reg, corpus):
+    p1 = load_presentation(str(corpus / "self_adjoint.pres"), reg)
+    p2 = load_presentation(str(corpus / "positive.pres"), reg)
+    d1 = {"x": parse_term("2 y - 1", p2.gens, reg)}
+    with pytest.raises(tietze.BridgeError, match="mentions 'z'"):
+        tietze.bridge(p1, p2, d1, {"y": gen_nf("z")}, reg)
+
+
+def test_bridge_source_relation_named_like_a_definition(reg, corpus):
+    p1 = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\nrelations:\n"
+        "  def_y : x = x*\n", reg)
+    p2 = load_presentation(str(corpus / "positive.pres"), reg)
+    d1 = {"x": parse_term("2 y - 1", p2.gens, reg)}
+    d2 = {"y": parse_term("1/2 x + 1/2", p1.gens, reg)}
+    with pytest.raises(tietze.BridgeError, match="def_y already taken"):
+        tietze.bridge(p1, p2, d1, d2, reg)
+
 def test_consistency_of_images_with_evaluation(reg):
     import numpy as np
     from cstarpres import repsearch
