@@ -19,11 +19,10 @@ The estimator understands:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exact import XS, Coeff, xs_add_outward, xs_mul_outward
 from .terms import (NF, Atom, GEN, ADJ, CALL, UNIT, Monomial, NormedSet,
-                    nf_coerce, star, star_monomial)
+                    adj_nf, gen_nf, geq_operands, solve_for, star,
+                    star_monomial)
 
 _ZERO = XS(0)
 
@@ -420,69 +419,42 @@ def _interval(t: NF, ctx: Context) -> Ival:
 
 # -- fact harvesting --------------------------------------------------------
 
-def _two_monomials(b: NF) -> list[tuple[Monomial, Coeff]] | None:
-    if len(b) != 2:
-        return None
-    return list(b.items())
-
-
 def _absorb_relation(body: NF, ctx: Context):
-    # x - x* : declared self-adjoint
-    pair = _two_monomials(body)
-    if pair is not None:
-        for (ma, ca), (mb, cb) in ((pair[0], pair[1]), (pair[1], pair[0])):
-            if (len(ma) == 1 and len(mb) == 1 and ma[0].kind == GEN
-                    and mb[0].kind == ADJ and ma[0].sym == mb[0].sym
-                    and ca == -cb):
-                ctx.declare_sa(ma[0].sym)
-        # s*s - 1 or s s* - 1 : cap(s) <= 1
-        for (ma, ca), (mb, cb) in ((pair[0], pair[1]), (pair[1], pair[0])):
+    # body = c (s - t): t = s* declares s self-adjoint, t = s s with s
+    # self-adjoint makes s a projection, and t free of s defines s
+    for s in ctx.gens:
+        t = solve_for(body, s)
+        if t is None:
+            continue
+        if s not in t.symbols():
+            ctx.tighten_cap(s, norm_bound(t, ctx))
+            if is_sa_mod(t, ctx):
+                ctx.declare_sa(s)
+                ctx.tighten_sym(s, interval(t, ctx))
+        elif t == adj_nf(s):
+            ctx.declare_sa(s)
+        elif s in ctx.sa and t == gen_nf(s) * gen_nf(s):
+            ctx.tighten_cap(s, XS(1))
+            ctx.tighten_sym(s, Ival(XS(0), XS(1)))
+
+    # s*s - 1 or s s* - 1 : cap(s) <= 1
+    pair = list(body.items())
+    if len(pair) == 2:
+        for (ma, ca), (mb, cb) in (pair, pair[::-1]):
             if (mb == UNIT and len(ma) == 2 and ca == -cb
                     and ma[0].kind in (GEN, ADJ) and ma[1].kind in (GEN, ADJ)
                     and ma[0].sym == ma[1].sym and ma[0].kind != ma[1].kind):
                 ctx.tighten_cap(ma[0].sym, XS(1))
-        # s s - s with s self-adjoint: spectrum in [0, 1]
-        for (ma, ca), (mb, cb) in ((pair[0], pair[1]), (pair[1], pair[0])):
-            if (len(ma) == 2 and len(mb) == 1 and ca == -cb
-                    and ma[0].kind == GEN and ma[1].kind == GEN
-                    and mb[0].kind == GEN and ma[0].sym == ma[1].sym == mb[0].sym
-                    and mb[0].sym in ctx.sa):
-                ctx.tighten_cap(mb[0].sym, XS(1))
-                ctx.tighten_sym(mb[0].sym, Ival(XS(0), XS(1)))
 
-    # definitional: body = c*s + rest, s not in rest
-    for s in ctx.gens:
-        c = body.get((Atom(GEN, s),))
-        if c is None or c.is_zero:
-            continue
-        t_def = (nf_coerce(c) * NF({(Atom(GEN, s),): Coeff.ONE}) - body) * (Coeff.ONE / c)
-        if s in t_def.symbols():
-            continue
-        ctx.tighten_cap(s, norm_bound(t_def, ctx))
-        if is_sa_mod(t_def, ctx):
-            ctx.declare_sa(s)
-            ctx.tighten_sym(s, interval(t_def, ctx))
-
-    # order-macro shape: body = c*(A - p((A + A*)/2)), giving A >= 0
-    for m0, c0 in list(body.items()):
-        if len(m0) != 1 or m0[0].kind != CALL or m0[0].sym != "p":
-            continue
-        w = m0[0].arg
-        c = -c0
-        if c.is_zero:
-            continue
-        a_nf = body * (Coeff.ONE / c) + NF({m0: Coeff.ONE})
-        half = Coeff(Fraction(1, 2))
-        if (a_nf + star(a_nf)) * half != w:
-            continue
-        nb = norm_bound(a_nf, ctx)
-        key = sa_normalize(a_nf, ctx)
-        ctx.add_elem_fact(key, Ival(XS(0), nb))
+    # order-macro shape: body = c*(a - p((a + a*)/2)), giving a >= 0
+    for _, a in geq_operands(body):
+        nb = norm_bound(a, ctx)
+        ctx.add_elem_fact(sa_normalize(a, ctx), Ival(XS(0), nb))
         # affine in one generator: alpha*s + beta*1 >= 0 pins the symbol
-        mono = [(m, cc) for m, cc in a_nf.items() if m != UNIT]
+        mono = [(m, cc) for m, cc in a.items() if m != UNIT]
         if len(mono) == 1:
             (mm, alpha) = mono[0]
-            beta = a_nf.scalar_part()
+            beta = a.scalar_part()
             if (len(mm) == 1 and mm[0].kind == GEN and alpha.is_real
                     and not alpha.is_zero and beta.is_real):
                 s = mm[0].sym

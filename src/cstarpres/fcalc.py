@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import XS, Coeff
-from .terms import CALL, NF, NormedSet, call_nf, is_selfadjoint, nf_coerce, star
+from .terms import (NF, NormedSet, call_nf, geq_zero_body, is_selfadjoint,
+                    nf_coerce, star)
 from . import bounds
 from .bounds import Ival, Context
 
@@ -39,23 +40,20 @@ class MacroError(ValueError):
 
 # -- directed rational bounds for exp ------------------------------------
 
-def exp_bounds(x: Fraction, terms: int = 0) -> tuple[Fraction, Fraction]:
+def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     """Rational lo <= e^x <= hi."""
     if x < 0:
-        lo, hi = exp_bounds(-x, terms)
+        lo, hi = exp_bounds(-x)
         return 1 / hi, 1 / lo
-    n = terms or max(24, 4 * (int(x) + 1))
+    n = max(24, 4 * (int(x) + 1))
     s = Fraction(0)
     term = Fraction(1)
     for k in range(n + 1):
         s += term
         term = term * x / (k + 1)
-    # remainder: term is x^(n+1)/(n+1)!; geometric tail ratio x/(n+2)
-    ratio = x / (n + 2)
-    if ratio >= 1:
-        return exp_bounds(x, 2 * n)
-    rem = term / (1 - ratio)
-    return s, s + rem
+    # remainder: term is x^(n+1)/(n+1)!; the tail is geometric with
+    # ratio x/(n+2) < 1/4, since n > 4x
+    return s, s + term / (1 - x / (n + 2))
 
 
 def _dyadic(x: Fraction, up: bool, bits: int = 64) -> Fraction:
@@ -235,10 +233,6 @@ def builtin_functions() -> dict[str, FunctionSymbol]:
         lambda t, pr: _math.sqrt(max(t, 0.0)),
         domain_window=lambda pr: (XS(0), None))
     fns["sqrt"] = sqrt_sym
-    fns["pow_half"] = FunctionSymbol(
-        "pow_half", 0, "positive", _sqrt_range, _sqrt_exact,
-        lambda t, pr: _math.sqrt(max(t, 0.0)),
-        domain_window=lambda pr: (XS(0), None))
     fns["inv_lb"] = FunctionSymbol(
         "inv_lb", 1, "positive", _inv_range, _inv_exact,
         lambda t, pr: 1.0 / max(t, pr[0]),
@@ -325,30 +319,10 @@ def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSym
 MACRO_NAMES = ("norm_le", "left_inv", "right_inv", "inv")
 
 
-def geq_zero_body(a: NF) -> NF:
-    """a >= 0 becomes a - p((a + a*)/2)."""
-    half = Coeff(Fraction(1, 2))
-    re_a = (a + star(a)) * half
-    return a - call_nf("p", re_a)
-
-
 def leq_body(a: NF, b: NF) -> NF:
     if not (is_selfadjoint(a) and is_selfadjoint(b)):
         raise MacroError("both sides of an order relation must be self-adjoint")
     return geq_zero_body(b - a)
-
-
-def match_geq_body(body: NF) -> NF | None:
-    """Inverse of geq_zero_body: recover a from a - p((a + a*)/2), or None."""
-    calls = [(m, c) for m, c in body.items()
-             if len(m) == 1 and m[0].kind == CALL and m[0].sym == "p"]
-    for mono, c in calls:
-        if c != -Coeff.ONE:
-            continue
-        a = body + NF({mono: Coeff.ONE})
-        if geq_zero_body(a) == body:
-            return a
-    return None
 
 
 def _require_normvalue(c: XS, who: str) -> Fraction:

@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import XS, Coeff
-from .terms import (NF, Atom, CALL, NormedSet, nf_coerce, gen_nf, adj_nf,
-                    star, is_selfadjoint, sorted_monomials, UNIT)
+from .terms import (NF, Atom, CALL, NormedSet, nf_coerce, gen_nf, star,
+                    is_selfadjoint, sorted_monomials, UNIT)
 
 
 class ParseError(ValueError):
@@ -31,6 +31,33 @@ class ParseError(ValueError):
 
 class TermError(ValueError):
     """A structurally invalid term (bad call argument, unknown symbol...)."""
+
+
+# -- top-level splitting ------------------------------------------------
+
+def split_top(text: str, op: str) -> list[str]:
+    """Split on a top-level operator, paren-aware; '=' skips >=, <=."""
+    out, depth, start, i = [], 0, 0, 0
+    while i < len(text):
+        c = text[i]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif depth == 0 and text.startswith(op, i):
+            if op == "=" and i > 0 and text[i - 1] in "<>=":
+                i += 1
+                continue
+            if op == "=" and text.startswith("==", i):
+                i += 2
+                continue
+            out.append(text[start:i])
+            start = i + len(op)
+            i = start
+            continue
+        i += 1
+    out.append(text[start:])
+    return out
 
 
 # -- tokenizer ----------------------------------------------------------

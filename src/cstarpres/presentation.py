@@ -19,13 +19,13 @@ bodies, so print -> parse is stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from collections import Counter
+from dataclasses import dataclass, replace
 
-from .exact import XS
-from .terms import NF, NormedSet, UNIT, augmentation, valid_ident
+from .terms import (NF, NormedSet, UNIT, augmentation, geq_zero_body,
+                    valid_ident)
 from .parser import (ParseError, parse_term, parse_scalar, parse_normvalue,
-                     format_term, format_scalar_xs)
+                     format_term, format_scalar_xs, split_top)
 from . import fcalc
 
 
@@ -65,44 +65,10 @@ def structural_equal(p: Presentation, q: Presentation) -> bool:
         return False
     if dict(p.gens.items()) != dict(q.gens.items()):
         return False
-    pb = sorted(map(hash, p.bodies()))
-    qb = sorted(map(hash, q.bodies()))
-    if pb != qb:
-        return False
-    remaining = list(q.bodies())
-    for b in p.bodies():
-        if b not in remaining:
-            return False
-        remaining.remove(b)
-    return not remaining
+    return Counter(p.bodies()) == Counter(q.bodies())
 
 
 # -- relation-line parsing ------------------------------------------------
-
-def _split_text(text: str, op: str) -> list[str]:
-    """Split on a top-level operator, paren-aware; '=' skips >=, <=."""
-    out, depth, start, i = [], 0, 0, 0
-    while i < len(text):
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(op, i):
-            if op == "=" and i > 0 and text[i - 1] in "<>=":
-                i += 1
-                continue
-            if op == "=" and text.startswith("==", i):
-                i += 2
-                continue
-            out.append(text[start:i])
-            start = i + len(op)
-            i = start
-            continue
-        i += 1
-    out.append(text[start:])
-    return out
-
 
 _MACRO_HEADS = tuple(m + "(" for m in fcalc.MACRO_NAMES)
 
@@ -112,7 +78,7 @@ def parse_relation_text(name: str, text: str, gens: NormedSet,
     """One relation line; macros may expand to several relations."""
     text = text.strip()
     for op in (">=", "<="):
-        parts = _split_text(text, op)
+        parts = split_top(text, op)
         if len(parts) > 2:
             raise ParseError("relation %s: more than one %r" % (name, op))
         if len(parts) == 2:
@@ -120,10 +86,10 @@ def parse_relation_text(name: str, text: str, gens: NormedSet,
             rhs = parse_term(parts[1], gens, registry)
             try:
                 if op == ">=":
-                    body = fcalc.geq_zero_body(lhs) if rhs.is_zero \
+                    body = geq_zero_body(lhs) if rhs.is_zero \
                         else fcalc.leq_body(rhs, lhs)
                 else:
-                    body = fcalc.geq_zero_body(rhs) if lhs.is_zero \
+                    body = geq_zero_body(rhs) if lhs.is_zero \
                         else fcalc.leq_body(lhs, rhs)
             except fcalc.MacroError as e:
                 raise ParseError("relation %s: %s" % (name, e))
@@ -132,7 +98,7 @@ def parse_relation_text(name: str, text: str, gens: NormedSet,
     if head.startswith(_MACRO_HEADS) and text.endswith(")"):
         macro = head[:head.index("(")]
         inner = text[text.index("(") + 1:-1]
-        args = _split_text(inner, ",")
+        args = split_top(inner, ",")
         args = [a for a in args if a.strip()]
         if len(args) < 2:
             raise ParseError("relation %s: macro %s takes (term, scalar)"
@@ -145,7 +111,7 @@ def parse_relation_text(name: str, text: str, gens: NormedSet,
             raise ParseError("relation %s: %s" % (name, e))
         return [Relation(name + suffix, body, "macro:" + macro)
                 for suffix, body in pieces]
-    parts = _split_text(text, "=")
+    parts = split_top(text, "=")
     if len(parts) > 2:
         raise ParseError("relation %s: more than one '='" % name)
     if len(parts) == 2:

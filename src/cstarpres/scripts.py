@@ -23,7 +23,8 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .parser import ParseError, parse_scalar, parse_normvalue, parse_term
+from .parser import (ParseError, parse_scalar, parse_normvalue, parse_term,
+                     split_top)
 from .presentation import load_presentation, parse_relation_text
 from .terms import NormedSet, valid_ident
 from . import tietze
@@ -63,30 +64,13 @@ class Script:
 _STEP_NO = re.compile(r"^\d+\.\s*")
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on sep at paren/bracket depth zero."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def _parse_cert(src: str, lineno: int) -> list:
     body = src.strip()
     if not (body.startswith("cert[") and body.endswith("]")):
         raise ScriptError("line %d: malformed cert[...] justification" % lineno)
     inner = body[len("cert["):-1].strip()
     items = []
-    for raw in _split_top(inner, ";"):
+    for raw in split_top(inner, ";"):
         s = raw.strip()
         if not s:
             continue
@@ -140,7 +124,7 @@ def _parse_fclemma(src: str, lineno: int) -> tuple[str, list]:
     if not schema:
         raise ScriptError("line %d: fclemma needs a schema name" % lineno)
     bindings = []
-    for raw in _split_top(rest, ","):
+    for raw in split_top(rest, ","):
         s = raw.strip()
         if not s:
             continue
@@ -283,7 +267,7 @@ def build_derivation(script: Script, registry) -> tuple:
                 move = tietze.AddRelations(tuple((r, just) for r in rels))
             elif step.kind == "delrel":
                 just = _build_justification(step, gens, registry)
-                move = tietze.RemoveRelations(((step.name, just),))
+                move = tietze.RemoveRelations(step.name, just)
             elif step.kind == "addgen":
                 cap = parse_normvalue(step.cap)
                 defining = parse_term(step.text, gens, registry)
@@ -291,7 +275,7 @@ def build_derivation(script: Script, registry) -> tuple:
                 if step.name not in gens and valid_ident(step.name):
                     gens.add(step.name, cap)
             elif step.kind == "delgen":
-                move = tietze.RemoveGenerators(((step.name, step.via),))
+                move = tietze.RemoveGenerators(step.name, step.via)
                 gens = gens.without(step.name)
             else:  # pragma: no cover - load_script rejects other kinds
                 raise ScriptError("unknown step")

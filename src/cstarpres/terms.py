@@ -276,6 +276,48 @@ def substitute(t: NF, sub: Mapping[str, NF]) -> NF:
     return out
 
 
+# -- relation shapes ---------------------------------------------------
+
+def solve_for(body: NF, sym: str) -> NF | None:
+    """sym - body / c, where c is the coefficient of the linear monomial
+    sym in body: the t with body = c (sym - t).  None when body has no
+    such monomial."""
+    c = body.get((gen(sym),))
+    if c is None:
+        return None
+    return gen_nf(sym) - body * (Coeff.ONE / c)
+
+
+def geq_zero_body(a: NF) -> NF:
+    """a >= 0 becomes a - p((a + a*)/2)."""
+    half = Coeff(Fraction(1, 2))
+    re_a = (a + star(a)) * half
+    return a - call_nf("p", re_a)
+
+
+def geq_operands(body: NF) -> list[tuple[Coeff, NF]]:
+    """Every (c, a) with body = c * geq_zero_body(a), at most one per
+    p(...) monomial of body, in body order."""
+    half = Coeff(Fraction(1, 2))
+    out = []
+    for m, c0 in body.items():
+        if len(m) != 1 or m[0].kind != CALL or m[0].sym != "p":
+            continue
+        c = -c0
+        a = body * (Coeff.ONE / c) + NF({m: Coeff.ONE})
+        if (a + star(a)) * half == m[0].arg:
+            out.append((c, a))
+    return out
+
+
+def match_geq_body(body: NF) -> NF | None:
+    """Inverse of geq_zero_body: recover a from a - p((a + a*)/2), or None."""
+    for c, a in geq_operands(body):
+        if c == Coeff.ONE:
+            return a
+    return None
+
+
 # -- normed sets -------------------------------------------------------
 
 class NormedSet:

@@ -1,5 +1,9 @@
 """Elementary presentation moves with machine-checkable justifications.
 
+A removal move is single: `RemoveRelations` drops one relation and
+`RemoveGenerators` one generator, through the relation that defines it.
+`AddRelations` and `AddGenerators` may carry several items.
+
 The kernel accepts two kinds of positive evidence that a relation is
 redundant: an exact ideal-membership certificate (a finite sum
 sum_i a_i r_i b_i, optionally with starred relations, that normalizes to
@@ -19,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .exact import XS, Coeff
 from .terms import (ADJ, NF, Atom, GEN, Monomial, NormedSet, UNIT, atom_key,
-                    gen_nf, nf_coerce, star, substitute, monomial_key,
-                    valid_ident)
+                    gen_nf, match_geq_body, nf_coerce, solve_for, star,
+                    substitute, monomial_key, valid_ident)
 from .presentation import (Presentation, Relation, _fresh, join,
                            structural_equal)
 from . import bounds, fcalc
@@ -66,7 +70,8 @@ class AddRelations:
 
 @dataclass(frozen=True)
 class RemoveRelations:
-    items: tuple  # of (name, justification)
+    name: str
+    just: object
     kind = "delrel"
 
 
@@ -78,7 +83,8 @@ class AddGenerators:
 
 @dataclass(frozen=True)
 class RemoveGenerators:
-    items: tuple  # of (symbol, defining relation name)
+    sym: str
+    via: str  # name of the relation that defines sym
     kind = "delgen"
 
 
@@ -124,11 +130,6 @@ def expand_certificate(p: Presentation, cert: Certificate) -> NF:
         body = star(rel.body) if starred else rel.body
         acc = acc + a * body * b
     return acc
-
-
-def check_certificate(p: Presentation, cert: Certificate, target: NF) -> bool:
-    """Exact: the expanded sum must normalize to the target."""
-    return expand_certificate(p, cert) == target
 
 
 # -- certificate auto-search ---------------------------------------------------
@@ -414,17 +415,13 @@ def apply_move(p: Presentation, move, mode: str, registry,
         return p.with_relations(tuple(new)), report
 
     if isinstance(move, RemoveRelations):
-        removed = {}
-        for name, _ in move.items:
-            rel = p.relation(name)
-            if rel is None:
-                raise MoveError("delrel %s: no such relation" % name)
-            removed[name] = rel.body
+        rel = p.relation(move.name)
+        if rel is None:
+            raise MoveError("delrel %s: no such relation" % move.name)
         remaining = p.with_relations(tuple(
-            r for r in p.relations if r.name not in removed))
-        for name, just in move.items:
-            _check_justification(remaining, removed[name], just, registry,
-                                 mode, "delrel %s" % name, report)
+            r for r in p.relations if r.name != move.name))
+        _check_justification(remaining, rel.body, move.just, registry, mode,
+                             "delrel %s" % move.name, report)
         return remaining, report
 
     if isinstance(move, AddGenerators):
@@ -454,52 +451,33 @@ def apply_move(p: Presentation, move, mode: str, registry,
         return Presentation(p.flavor, gens, tuple(rels), p.notes), report
 
     if isinstance(move, RemoveGenerators):
-        cur = p
-        later = [sym for sym, _ in move.items]
-        subs_all: dict[str, NF] = {}
-        for sym, via in move.items:
-            later = later[1:]
-            rel = cur.relation(via)
-            if rel is None:
-                raise MoveError("delgen %s: no relation named %r" % (sym, via))
-            if sym not in cur.gens:
-                raise MoveError("delgen %s: no such generator" % sym)
-            c = rel.body.get((Atom(GEN, sym),))
-            if c is None or c.is_zero:
-                raise MoveError(
-                    "delgen %s: relation %s has no linear %s monomial"
-                    % (sym, via, sym))
-            t = gen_nf(sym) - rel.body * (Coeff.ONE / c)
-            t_syms = t.symbols()
-            if sym in t_syms:
-                raise MoveError(
-                    "delgen %s: relation %s is not of eliminable shape "
-                    "(defining term still mentions %s)" % (sym, via, sym))
-            for other in later:
-                if other in t_syms:
-                    raise MoveError(
-                        "delgen %s: defining term references %s, removed "
-                        "later in the same move" % (sym, other))
-            rest = tuple(r for r in cur.relations if r.name != via)
-            ctx = _context_for(cur.with_relations(rest), registry, report,
-                               "delgen %s via %s" % (sym, via))
-            _norm_condition(sym, cur.gens.norm(sym), t, ctx, mode,
-                            "delgen %s via %s" % (sym, via), report)
-            sub = {sym: t}
-            new_rels = tuple(
-                Relation(r.name, substitute(r.body, sub), r.origin)
-                for r in rest)
-            for r in new_rels:
-                assert sym not in r.body.symbols()
-            cur = Presentation(cur.flavor, cur.gens.without(sym), new_rels,
-                               cur.notes)
-            for g in list(subs_all):
-                subs_all[g] = substitute(subs_all[g], sub)
-            subs_all[sym] = t
-        report.notes.append("substitutions: " +
-                            ", ".join(sorted(subs_all)))
-        report.substitutions = subs_all
-        return cur, report
+        sym, via = move.sym, move.via
+        rel = p.relation(via)
+        if rel is None:
+            raise MoveError("delgen %s: no relation named %r" % (sym, via))
+        if sym not in p.gens:
+            raise MoveError("delgen %s: no such generator" % sym)
+        t = solve_for(rel.body, sym)
+        if t is None:
+            raise MoveError("delgen %s: relation %s has no linear %s monomial"
+                            % (sym, via, sym))
+        if sym in t.symbols():
+            raise MoveError(
+                "delgen %s: relation %s is not of eliminable shape "
+                "(defining term still mentions %s)" % (sym, via, sym))
+        rest = tuple(r for r in p.relations if r.name != via)
+        label = "delgen %s via %s" % (sym, via)
+        ctx = _context_for(p.with_relations(rest), registry, report, label)
+        _norm_condition(sym, p.gens.norm(sym), t, ctx, mode, label, report)
+        sub = {sym: t}
+        new_rels = tuple(Relation(r.name, substitute(r.body, sub), r.origin)
+                         for r in rest)
+        for r in new_rels:
+            assert sym not in r.body.symbols()
+        report.notes.append("substitutions: " + sym)
+        report.substitutions = sub
+        return (Presentation(p.flavor, p.gens.without(sym), new_rels, p.notes),
+                report)
 
     raise MoveError("unknown move %r" % type(move))
 
@@ -508,11 +486,11 @@ def describe_move(move) -> str:
     if isinstance(move, AddRelations):
         return "addrel " + ", ".join(rel.name for rel, _ in move.items)
     if isinstance(move, RemoveRelations):
-        return "delrel " + ", ".join(name for name, _ in move.items)
+        return "delrel " + move.name
     if isinstance(move, AddGenerators):
         return "addgen " + ", ".join(sym for sym, _, _ in move.items)
     if isinstance(move, RemoveGenerators):
-        return "delgen " + ", ".join(sym for sym, _ in move.items)
+        return "delgen " + move.sym
     return str(move)
 
 
@@ -557,7 +535,7 @@ def auto_justify(ambient: Presentation, target: NF, registry,
     found = search_certificate(rels, target, ambient.gens, max_degree=degree)
     if isinstance(found, Certificate):
         return found
-    a = fcalc.match_geq_body(target)
+    a = match_geq_body(target)
     if a is not None:
         cit = lemma_citation("positive_from_interval", A=a)
         try:
@@ -670,11 +648,11 @@ def _next_removal(cur: Presentation, registry, max_degree: int):
         cert = search_certificate(others, rel.body, cur.gens,
                                   max_degree=max_degree)
         if isinstance(cert, Certificate):
-            move = RemoveRelations(((rel.name, cert),))
+            move = RemoveRelations(rel.name, cert)
             return move, apply_move(cur, move, "strict", registry)[0]
     for rel in cur.relations:
         for sym in cur.gens.names():
-            move = RemoveGenerators(((sym, rel.name),))
+            move = RemoveGenerators(sym, rel.name)
             try:
                 return move, apply_move(cur, move, "strict", registry)[0]
             except MoveError:

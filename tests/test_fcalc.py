@@ -8,12 +8,11 @@ from cstarpres import bounds, fcalc, repsearch
 from cstarpres.bounds import Ival
 from cstarpres.exact import Coeff, XS
 from cstarpres.fcalc import (LemmaError, MacroError, builtin_registry,
-                             exp_bounds, expand_macro, geq_zero_body,
-                             instantiate_schema, leq_body,
-                             load_registry_file, match_geq_body,
-                             norm_le_body)
+                             exp_bounds, expand_macro, instantiate_schema,
+                             leq_body, load_registry_file, norm_le_body)
 from cstarpres.parser import format_term, parse_term
-from cstarpres.terms import NormedSet, adj_nf, gen_nf, star
+from cstarpres.terms import (NormedSet, adj_nf, gen_nf, geq_operands,
+                             geq_zero_body, match_geq_body, star)
 
 
 def test_exp_bounds_sandwich():
@@ -23,8 +22,6 @@ def test_exp_bounds_sandwich():
         assert lo <= hi
         assert float(lo) <= math.exp(float(q)) <= float(hi)
         assert float(hi) - float(lo) < 1e-6
-    lo, hi = exp_bounds(Fraction(1), terms=40)
-    assert float(hi - lo) < 1e-40
 
 
 def test_nested_exp_bounds_stay_small_and_sound(reg):
@@ -120,7 +117,12 @@ def test_match_geq_body_round_trip(reg):
         a = parse_term(text, g, reg)
         body = geq_zero_body(a)
         assert match_geq_body(body) == a
+        # a scaled body keeps its scale, and only c == 1 is a plain match
+        for c in (Coeff(2), Coeff(Fraction(-1, 3)), Coeff(0, 1)):
+            assert geq_operands(body * c) == [(c, a)]
+            assert match_geq_body(body * c) is None
     assert match_geq_body(gen_nf("x") * adj_nf("x")) is None
+    assert geq_operands(gen_nf("x") * adj_nf("x")) == []
 
 
 def test_fparam_breakpoint_and_branches(reg):

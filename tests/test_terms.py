@@ -5,7 +5,8 @@ import pytest
 from cstarpres.exact import Coeff, XS
 from cstarpres.terms import (NF, NormedSet, UNIT, adj_nf, augmentation,
                              call_nf, gen_nf, is_selfadjoint, monomial_key,
-                             nf_coerce, sorted_monomials, star, substitute)
+                             nf_coerce, solve_for, sorted_monomials, star,
+                             substitute)
 
 
 def gens2():
@@ -77,6 +78,20 @@ def test_substitute_through_adjoint_and_calls():
     t = call_nf("p", x + adj_nf("x"))
     got = substitute(t, {"x": q})
     assert got == call_nf("p", q + adj_nf("q"))
+
+
+def test_solve_for_linear_monomial():
+    x, y = gen_nf("x"), gen_nf("y")
+    t = y * y - adj_nf("y") + nf_coerce(Fraction(1, 3))
+    # a scaled definition, also by a complex scale
+    for c in (Coeff(Fraction(-3, 2)), Coeff(1, 2)):
+        assert solve_for((x - t) * c, "x") == t
+    # no linear x monomial: x x and x* do not count
+    assert solve_for(x * x - adj_nf("x"), "x") is None
+    assert solve_for(x - t, "z") is None
+    # the solved term may still mention the symbol
+    assert solve_for((x - x * y) * Coeff(2), "x") == x * y
+    assert solve_for(x - adj_nf("x"), "x") == adj_nf("x")
 
 
 def test_normalize_idempotent_and_order_insensitive():
