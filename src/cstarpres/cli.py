@@ -19,7 +19,7 @@ from . import __version__
 from .parser import ParseError, parse_term
 from .presentation import (canonical_print, load_presentation, split,
                            to_json_dict, unitize, validate)
-from .fcalc import LemmaError, MacroError, builtin_registry, load_registry_file
+from .fcalc import MacroError, builtin_registry, load_registry_file
 from . import bounds, repsearch, scripts, tietze
 
 REGISTRY_ENV = "CSTARPRES_REGISTRY"
@@ -338,9 +338,8 @@ def main(argv=None) -> int:
     try:
         reg = _load_registry(args)
         return _HANDLERS[args.command](args, reg)
-    except (UsageError, ParseError, MacroError, LemmaError,
-            scripts.ScriptError, tietze.MoveError, tietze.BridgeError,
-            OSError, ValueError) as e:
+    except (UsageError, ParseError, MacroError, scripts.ScriptError,
+            tietze.MoveError, tietze.BridgeError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RecursionError:

@@ -9,9 +9,11 @@ polynomials) plus the entire functions exp/sin/cos.  Each symbol knows
   * a scalar evaluator and clamping window for numeric representations.
 
 Macros expand order sugar into plain relation bodies; lemma schemata are
-the trusted functional-calculus identities a derivation may cite.  Every
-shipped schema carries a sampler so the test suite can validate it
-numerically on random matrix instantiations.
+the trusted functional-calculus identities a derivation may cite.  A
+schema only builds its requirements, side conditions and identities
+from bindings; `tietze` checks a citation.  Every shipped schema carries
+a sampler so the test suite can validate it numerically on random
+matrix instantiations.
 """
 
 from __future__ import annotations
@@ -26,12 +28,7 @@ from typing import Callable
 from .exact import XS, Coeff
 from .terms import (NF, NormedSet, call_nf, geq_zero_body, is_selfadjoint,
                     nf_coerce, star)
-from . import bounds
-from .bounds import Ival, Context
-
-
-class LemmaError(ValueError):
-    pass
+from .bounds import Ival
 
 
 class MacroError(ValueError):
@@ -702,75 +699,6 @@ def builtin_registry() -> Registry:
     if _BUILTIN is None:
         _BUILTIN = Registry()
     return _BUILTIN
-
-
-# -- schema instantiation ----------------------------------------------------
-
-@dataclass
-class LemmaInstance:
-    schema: str
-    bindings: dict
-    requires_matched: list[str]  # ambient relation names used
-    gives: list[NF]
-    checks: list[str]            # human-readable discharged side conditions
-
-
-def instantiate_schema(registry: Registry, name: str, bindings: dict,
-                       ambient: list[tuple[str, NF]], ctx: Context,
-                       sa_prover=None) -> LemmaInstance:
-    """Check a schema instance against ambient relation bodies.
-
-    `ambient` is (name, body) pairs; every required body must match one of
-    them exactly (as normal forms).  Side conditions are discharged with
-    the sound interval estimator over `ctx`.
-    """
-    schema = registry.schema(name)
-    if schema is None:
-        raise LemmaError("unknown or disabled lemma schema %r" % name)
-    missing = [v for v in schema.term_vars if v not in bindings]
-    missing += [v for v in schema.scalar_vars if v not in bindings]
-    if missing:
-        raise LemmaError("schema %s: missing bindings %s" % (name, missing))
-    data = schema.build(bindings, registry)
-    matched = []
-    for req in data.requires:
-        hit = None
-        for rel_name, body in ambient:
-            if body == req:
-                hit = rel_name
-                break
-        if hit is None:
-            raise LemmaError(
-                "schema %s: required relation not present in ambient set "
-                "(needs a relation with body matching one of the schema "
-                "hypotheses)" % name)
-        matched.append(hit)
-    checks = []
-    for a in data.positive:
-        iv = bounds.interval(a, ctx)
-        if iv.lo.sign() < 0:
-            raise LemmaError(
-                "schema %s: positivity side condition not discharged; "
-                "enclosure %s" % (name, iv))
-        checks.append("positive: enclosure %s" % iv)
-    for a in data.sa:
-        if bounds.is_sa_mod(a, ctx):
-            checks.append("self-adjoint (structural)")
-            continue
-        diff = a - star(a)
-        if sa_prover is not None and sa_prover(diff):
-            checks.append("self-adjoint (certified)")
-            continue
-        raise LemmaError(
-            "schema %s: operand not self-adjoint modulo ambient relations" % name)
-    for a, cap in data.norm_les:
-        nb = bounds.norm_bound(a, ctx)
-        if nb.cmp(cap) > 0:
-            raise LemmaError(
-                "schema %s: norm side condition needs <= %s, bound gives %s"
-                % (name, cap, nb))
-        checks.append("norm bound %s <= %s" % (nb, cap))
-    return LemmaInstance(name, dict(bindings), matched, data.gives, checks)
 
 
 # -- user registry extension files -------------------------------------------

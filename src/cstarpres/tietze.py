@@ -8,8 +8,12 @@ The kernel accepts two kinds of positive evidence that a relation is
 redundant: an exact ideal-membership certificate (a finite sum
 sum_i a_i r_i b_i, optionally with starred relations, that normalizes to
 the target) and an instance of a registered functional-calculus lemma
-schema.  Oracle-pending markers are admitted in permissive mode only and
-always surface in the report.
+schema.  Lemma instances are checked here: the registry (`fcalc`) only
+builds a schema's required relations, side conditions and identities
+from the citation's bindings, and this module matches the requirements
+against the relations in force and discharges the side conditions with
+the bound engine.  Oracle-pending markers are admitted in permissive
+mode only and always surface in the report.
 
 Norm side conditions on generator moves are discharged with the sound
 interval estimator, fed by the relations in force; when the bound is too
@@ -27,7 +31,7 @@ from .terms import (ADJ, NF, Atom, GEN, Monomial, NormedSet, UNIT, atom_key,
                     substitute, monomial_key, valid_ident)
 from .presentation import (Presentation, Relation, _fresh, join,
                            structural_equal)
-from . import bounds, fcalc
+from . import bounds
 
 
 class MoveError(ValueError):
@@ -335,36 +339,66 @@ def _check_justification(ambient: Presentation, target: NF, just, registry,
                             % (label, len(just.summands)))
         return
     if isinstance(just, LemmaCitation):
-        if registry.schema(just.schema) is None:
+        name = just.schema
+        schema = registry.schema(name)
+        if schema is None:
             if mode == "strict":
                 raise MoveError(
                     "%s: lemma schema %r is not available in this registry"
-                    % (label, just.schema))
+                    % (label, name))
             report.gaps.append(("schema-unavailable",
-                                "%s: schema %r not checked" % (label,
-                                                               just.schema)))
+                                "%s: schema %r not checked" % (label, name)))
             return
-        ctx = _context_for(ambient, registry, report, label)
-        amb = [(r.name, r.body) for r in ambient.relations]
-
-        def sa_prover(diff: NF) -> bool:
-            return isinstance(search_certificate(amb, diff, ambient.gens,
-                                                 max_degree=1),
-                              Certificate)
-
+        bindings = just.binding_dict()
+        missing = [v for v in schema.term_vars + schema.scalar_vars
+                   if v not in bindings]
+        if missing:
+            raise MoveError("%s: schema %s: missing bindings %s"
+                            % (label, name, missing))
         try:
-            inst = fcalc.instantiate_schema(registry, just.schema,
-                                            just.binding_dict(), amb, ctx,
-                                            sa_prover=sa_prover)
-        except fcalc.LemmaError as e:
-            raise MoveError("%s: %s" % (label, e))
-        if target not in inst.gives:
+            data = schema.build(bindings, registry)
+        except (ValueError, ZeroDivisionError) as e:
+            raise MoveError("%s: schema %s: bindings do not build an instance "
+                            "(%s)" % (label, name, str(e) or type(e).__name__))
+        bodies = set(ambient.bodies())
+        if any(req not in bodies for req in data.requires):
             raise MoveError(
-                "%s: schema %s instantiates to a different identity"
-                % (label, just.schema))
+                "%s: schema %s: required relation not present in ambient set "
+                "(needs a relation with body matching one of the schema "
+                "hypotheses)" % (label, name))
+        checks = []
+        if data.positive or data.sa or data.norm_les:
+            ctx = _context_for(ambient, registry, report, label)
+        for a in data.positive:
+            iv = bounds.interval(a, ctx)
+            if iv.lo.sign() < 0:
+                raise MoveError(
+                    "%s: schema %s: positivity side condition not discharged; "
+                    "enclosure %s" % (label, name, iv))
+            checks.append("positive: enclosure %s" % iv)
+        for a in data.sa:
+            if bounds.is_sa_mod(a, ctx):
+                checks.append("self-adjoint (structural)")
+            elif isinstance(search_certificate(
+                    [(r.name, r.body) for r in ambient.relations], a - star(a),
+                    ambient.gens, max_degree=1), Certificate):
+                checks.append("self-adjoint (certified)")
+            else:
+                raise MoveError("%s: schema %s: operand not self-adjoint "
+                                "modulo ambient relations" % (label, name))
+        for a, cap in data.norm_les:
+            nb = bounds.norm_bound(a, ctx)
+            if nb.cmp(cap) > 0:
+                raise MoveError(
+                    "%s: schema %s: norm side condition needs <= %s, bound "
+                    "gives %s" % (label, name, cap, nb))
+            checks.append("norm bound %s <= %s" % (nb, cap))
+        if target not in data.gives:
+            raise MoveError("%s: schema %s instantiates to a different "
+                            "identity" % (label, name))
         report.notes.append("%s: lemma %s ok (%s)"
-                            % (label, just.schema,
-                               "; ".join(inst.checks) or "no side conditions"))
+                            % (label, name,
+                               "; ".join(checks) or "no side conditions"))
         return
     if isinstance(just, OraclePending):
         if mode == "strict":
@@ -622,18 +656,16 @@ def bridge(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
 
 # -- bounded simplification ---------------------------------------------------------
 
-def auto_simplify(p: Presentation, registry, max_degree: int = 1,
-                  max_steps: int = 40) -> tuple[Presentation, Derivation]:
+def auto_simplify(p: Presentation, registry, max_degree: int = 1
+                  ) -> tuple[Presentation, Derivation]:
     """Greedy removal of certificate-redundant relations and of generators
-    with an eliminable defining relation.  Each candidate move is checked
-    once, by a strict `apply_move`, so the emitted derivation is gap-free
-    and re-checks in strict mode."""
+    with an eliminable defining relation, run to its fixpoint: each step
+    removes a relation or a generator, so the loop ends.  Each candidate
+    move is checked once, by a strict `apply_move`, so the emitted
+    derivation is gap-free and re-checks in strict mode."""
     cur = p
     steps = []
-    while len(steps) < max_steps:
-        found = _next_removal(cur, registry, max_degree)
-        if found is None:
-            break
+    while (found := _next_removal(cur, registry, max_degree)) is not None:
         move, cur = found
         steps.append(move)
     return cur, Derivation(p, tuple(steps), cur)

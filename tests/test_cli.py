@@ -116,6 +116,19 @@ def test_check_end_mismatch_is_exit_1(capsys, corpus, tmp_path):
     ("delrel nosuch by oracle", "delrel nosuch",
      "delrel nosuch: no such relation"),
     ("addgen x : 1 := x", "addgen x", "addgen x: symbol already declared"),
+    # bindings the schema cannot build an instance from
+    ("addrel t := x = x by fclemma(projection_pair_norm_bound; X = x, "
+     "R = x, K = x, lambda = 1/2)", "addrel t",
+     "addrel t: schema projection_pair_norm_bound: bindings do not build "
+     "an instance (sqrt of negative value)"),
+    ("addrel t := x = x by fclemma(projection_pair_norm_bound; X = x, "
+     "R = x, K = x, lambda = 0)", "addrel t",
+     "addrel t: schema projection_pair_norm_bound: bindings do not build "
+     "an instance (ZeroDivisionError)"),
+    ("addrel t := x = x by fclemma(polar_isometry; X = x, U = x, "
+     "mu = sqrt(2), m = 1)", "addrel t",
+     "addrel t: schema polar_isometry: bindings do not build an instance "
+     "(not a rational value: sqrt(2))"),
 ])
 def test_check_move_error_is_failed_step(capsys, corpus, tmp_path, step,
                                          label, error):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 from cstarpres import bounds, fcalc, repsearch
 from cstarpres.bounds import Ival
 from cstarpres.exact import Coeff, XS
-from cstarpres.fcalc import (LemmaError, MacroError, builtin_registry,
-                             exp_bounds, expand_macro, instantiate_schema,
-                             leq_body, load_registry_file, norm_le_body)
+from cstarpres.fcalc import (MacroError, builtin_registry, exp_bounds,
+                             expand_macro, leq_body, load_registry_file,
+                             norm_le_body)
 from cstarpres.parser import format_term, parse_term
+from cstarpres.presentation import Presentation, Relation, load_presentation
 from cstarpres.terms import (NormedSet, adj_nf, gen_nf, geq_operands,
                              geq_zero_body, match_geq_body, star)
+from cstarpres.tietze import (AddRelations, MoveError, apply_move,
+                              lemma_citation)
 
 
 def test_exp_bounds_sandwich():
@@ -205,46 +209,63 @@ def test_every_schema_validates_on_200_samples(reg):
     assert worst < 1e-6
 
 
-def test_instantiate_schema_success_and_errors(reg):
+def _cite(p, name, body, schema, mode="strict", registry=None, **bindings):
+    """Apply `addrel name := body by fclemma(schema; bindings)` to p."""
+    move = AddRelations(((Relation(name, body, "derived"),
+                          lemma_citation(schema, **bindings)),))
+    return apply_move(p, move, mode, registry or builtin_registry())
+
+
+def test_lemma_citation_success_and_errors(reg):
     g = NormedSet()
     g.add("x", XS(1))
     x = gen_nf("x")
-    sa_body = x - star(x)
-    ctx = bounds.context_from_relations(g, reg, [sa_body])
-    # 1 + x*x is provably positive: instance carries its identity
-    inst = instantiate_schema(reg, "sqrt_square",
-                              {"A": parse_term("1 + x* x", g, reg)},
-                              [("sa_x", sa_body)], ctx)
-    assert inst.schema == "sqrt_square"
-    assert len(inst.gives) == 1
-    with pytest.raises(LemmaError):
-        instantiate_schema(reg, "no_such_schema", {}, [], ctx)
-    with pytest.raises(LemmaError):
-        instantiate_schema(reg, "sqrt_square", {}, [], ctx)  # missing A
-    with pytest.raises(LemmaError):
-        # x - x* has enclosure straddling 0: positivity not dischargeable
-        instantiate_schema(reg, "sqrt_square", {"A": x + star(x)},
-                           [("sa_x", sa_body)], ctx)
+    p = Presentation("unital", g, (Relation("sa_x", x - star(x)),))
+    a = parse_term("1 + x* x", g, reg)
+    sq = parse_term("sqrt(1 + x* x) sqrt(1 + x* x) - 1 - x* x", g, reg)
+    # 1 + x*x is provably positive: the citation gives its identity
+    _, rep = _cite(p, "sq", sq, "sqrt_square", A=a)
+    assert rep.notes == ["addrel sq: lemma sqrt_square ok (positive: "
+                         "enclosure [1, 2])"]
+    with pytest.raises(MoveError, match="addrel sq: lemma schema "
+                       "'no_such_schema' is not available in this registry"):
+        _cite(p, "sq", sq, "no_such_schema")
+    _, rep = _cite(p, "sq", sq, "no_such_schema", mode="permissive")
+    assert rep.gaps == [("schema-unavailable",
+                         "addrel sq: schema 'no_such_schema' not checked")]
+    with pytest.raises(MoveError, match=re.escape(
+            "addrel sq: schema sqrt_square: missing bindings ['A']")):
+        _cite(p, "sq", sq, "sqrt_square")
+    # x + x* has an enclosure straddling 0: positivity not dischargeable
+    with pytest.raises(MoveError, match="addrel sq: schema sqrt_square: "
+                       "positivity side condition not discharged"):
+        _cite(p, "sq", sq, "sqrt_square", A=x + star(x))
 
 
-def test_instantiate_schema_requires_matching(reg, corpus):
-    from cstarpres.presentation import load_presentation
+def test_lemma_citation_requires_matching(reg, corpus):
     p = load_presentation(str(corpus / "idempotent.pres"), reg)
     g = NormedSet(p.gens.items())
     g.add("r", XS(1))
     x, r = gen_nf("x"), gen_nf("r")
-    ambient = [(rel.name, rel.body) for rel in p.relations]
-    ambient.append(("def_r", r - fcalc.range_projection_formula(x)))
-    ctx = bounds.context_from_relations(g, reg, [b for _, b in ambient])
-    inst = instantiate_schema(
-        reg, "projection_from_idempotent_range",
-        {"P": r, "Y": x}, ambient, ctx)
-    assert inst.requires_matched == ["idem", "def_r"]
-    assert len(inst.gives) == 2  # r^2 = r and r* = r
-    with pytest.raises(LemmaError):
-        instantiate_schema(
-            reg, "projection_from_idempotent_range",
-            {"P": r, "Y": x}, ambient[:1], ctx)
+    def_r = Relation("def_r", r - fcalc.range_projection_formula(x))
+    full = Presentation("unital", g, p.relations + (def_r,))
+    # both identities the instance gives: r^2 = r and r* = r
+    for body in (r * r - r, star(r) - r):
+        _, rep = _cite(full, "proj", body,
+                       "projection_from_idempotent_range", P=r, Y=x)
+        assert rep.notes == ["addrel proj: lemma "
+                             "projection_from_idempotent_range ok (no side "
+                             "conditions)"]
+    with pytest.raises(MoveError, match="addrel proj: schema "
+                       "projection_from_idempotent_range: required relation "
+                       "not present in ambient set"):
+        _cite(Presentation("unital", g, p.relations), "proj", r * r - r,
+              "projection_from_idempotent_range", P=r, Y=x)
+    with pytest.raises(MoveError, match="addrel proj: schema "
+                       "projection_from_idempotent_range instantiates to a "
+                       "different identity"):
+        _cite(full, "proj", r - star(r),
+              "projection_from_idempotent_range", P=r, Y=x)
 
 
 def test_user_registry_file(reg, tmp_path):
@@ -273,10 +294,12 @@ def test_user_registry_file(reg, tmp_path):
     g = NormedSet()
     g.add("x", XS(1))
     x = gen_nf("x")
-    ctx = bounds.Context(g, reg)
-    inst = instantiate_schema(ext, "shift_cancel", {"A": x},
-                              [("z", x - x)], ctx)
-    assert inst.gives[0].is_zero
+    p = Presentation("unital", g, (Relation("z", x - x),))
+    _, rep = _cite(p, "t", x - x, "shift_cancel", registry=ext, A=x)
+    assert rep.notes == ["addrel t: lemma shift_cancel ok (no side "
+                         "conditions)"]
+    with pytest.raises(MoveError, match="not available in this registry"):
+        _cite(p, "t", x - x, "shift_cancel", registry=reg, A=x)
 
 
 def test_registry_digest_is_stable(reg):

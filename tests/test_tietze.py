@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cstarpres import tietze
+from cstarpres import fcalc, tietze
 from cstarpres.exact import XS, Coeff
 from cstarpres.parser import parse_term
 from cstarpres.presentation import (Presentation, Relation,
@@ -661,3 +661,49 @@ def test_unconverged_bound_context_is_noted(reg):
                for n in rep.notes)
     _, rep = apply_move(sa_pres(), move, "strict", reg)
     assert not any("not converged" in n for n in rep.notes)
+
+
+def test_self_adjointness_certified_by_the_ambient_relations(reg):
+    # x y is not self-adjoint by structure, but pos - pos* = x y - y* x*
+    # is a certificate for it
+    g = NormedSet()
+    g.add("x", XS(1))
+    g.add("y", XS(1))
+    xy = gen_nf("x") * gen_nf("y")
+    p = Presentation("unital", g, (Relation("pos", geq_zero_body(xy)),))
+    move = AddRelations(((Relation("t", geq_zero_body(xy), "derived"),
+                          lemma_citation("positive_from_interval", A=xy)),))
+    _, rep = apply_move(p, move, "strict", reg)
+    assert rep.status == "ok"
+    assert len(rep.notes) == 1
+    assert rep.notes[0].startswith("addrel t: lemma positive_from_interval "
+                                   "ok (positive: enclosure ")
+    assert rep.notes[0].endswith("; self-adjoint (certified))")
+
+
+def test_lemma_builds_a_bound_context_only_for_side_conditions(
+        reg, corpus, monkeypatch):
+    built = []
+    context_for = tietze._context_for
+
+    def counting(p, *args):
+        built.append(p)
+        return context_for(p, *args)
+    monkeypatch.setattr(tietze, "_context_for", counting)
+    p = load_presentation(str(corpus / "idempotent.pres"), reg)
+    g = NormedSet(p.gens.items())
+    g.add("r", XS(1))
+    x, r = gen_nf("x"), gen_nf("r")
+    p = Presentation("unital", g, p.relations + (
+        Relation("def_r", r - fcalc.range_projection_formula(x)),))
+    move = AddRelations(((Relation("proj", r * r - r, "derived"),
+                          lemma_citation("projection_from_idempotent_range",
+                                         P=r, Y=x)),))
+    apply_move(p, move, "strict", reg)
+    assert built == []
+    move = AddRelations(((Relation("pos_r", geq_zero_body(r * star(r)),
+                                   "derived"),
+                          lemma_citation("positive_from_interval",
+                                         A=r * star(r))),))
+    apply_move(p, move, "strict", reg)
+    assert built == [p]
