@@ -6,11 +6,11 @@ Two kinds of numbers live here:
   ``(a + b*i) / d`` in lowest terms.  These are the only coefficients
   normal forms are allowed to carry.
 
-* ``XS`` -- quadratic surds ``a + b*sqrt(r)`` with rational a, b and a
-  squarefree integer radicand r.  Norm values and spectral-interval
-  endpoints are XS values.  XS is closed under negation, multiplication
-  and division; addition is exact only when the radicands agree, and the
-  interval layer rounds outward when it does not.
+* ``XS`` -- quadratic surds ``a + b*sqrt(r)`` with rational a, b and an
+  integer radicand r.  Norm values and spectral-interval endpoints are
+  XS values.  XS is closed under negation, multiplication and division;
+  addition is exact only when the radicands agree, and the interval
+  layer rounds outward when it does not.
 
 ``Coeff`` arithmetic is integer arithmetic; ``XS`` is built on
 ``fractions.Fraction``.  No floats enter any decision made by the checker.
@@ -28,13 +28,15 @@ _FZERO = Fraction(0)
 
 _TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
+BITS = 64  # precision, in bits, of the directed rational bounds
+
 
 def _square_split(n: int) -> tuple[int, int]:
-    """Write n >= 1 as m*m*d with d squarefree (for the sizes we meet).
+    """Write n >= 1 as m*m*d, pulling out the squares of the primes up to
+    97 and a perfect-square rest.
 
-    Trial division by small primes plus a perfect-square check.  Radicands
-    in this tool come from norm declarations and interval arithmetic at
-    desk scale, so they stay small.
+    d is not always squarefree: 101*101*103 comes back as (1, 1050703).
+    So two radicands that differ need not give independent surds.
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
@@ -57,7 +59,7 @@ def _square_split(n: int) -> tuple[int, int]:
     return m, d
 
 
-def sqrt_bounds(q: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
+def sqrt_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
     """Directed rational bounds lo <= sqrt(q) <= hi for q >= 0."""
     if q < 0:
         raise ValueError("sqrt of negative rational")
@@ -65,9 +67,9 @@ def sqrt_bounds(q: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(0)
     p, d = q.numerator, q.denominator
     n = p * d  # sqrt(p/d) = sqrt(p*d)/d
-    scaled = n << (2 * bits)
+    scaled = n << (2 * BITS)
     root = isqrt(scaled)
-    den = d << bits
+    den = d << BITS
     lo = Fraction(root, den)
     if root * root == scaled:
         return lo, lo
@@ -77,8 +79,9 @@ def sqrt_bounds(q: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
 class XS:
     """Exact real scalar of the form a + b*sqrt(r).
 
-    r is a squarefree integer >= 2 whenever b != 0, and 0 otherwise, so
-    structural equality of the triple is value equality.
+    r is an integer >= 2 whenever b != 0, and 0 otherwise.  r may keep a
+    square factor (see `_square_split`), so ``==`` is structural and
+    ``cmp`` decides value.
     """
 
     __slots__ = ("a", "b", "r")
@@ -210,20 +213,15 @@ class XS:
         d = self.try_add(-other)
         if d is not None:
             return d.sign()
-        # a1 + b1 sqrt(r1) - a2 - b2 sqrt(r2), distinct squarefree radicands:
-        # 1, sqrt(r1), sqrt(r2) are linearly independent over Q, so the
-        # difference is nonzero and directed bounds eventually separate it.
-        bits = 64
-        while True:
-            lo1, hi1 = self.bounds(bits)
-            lo2, hi2 = other.bounds(bits)
-            if lo1 > hi2:
-                return 1
-            if hi1 < lo2:
-                return -1
-            bits *= 2
-            if bits > 4096:  # pragma: no cover - independence rules this out
-                raise RuntimeError("could not separate surds")
+        # distinct radicands, both surd parts nonzero: the difference is
+        # u + w sqrt(r2) with u = a1 - a2 + b1 sqrt(r1) exact; when u and
+        # w sqrt(r2) have opposite signs, the larger square wins
+        u = XS(self.a - other.a, self.b, self.r)
+        w = -other.b
+        su, sw = u.sign(), (w > 0) - (w < 0)
+        if su == sw or su == 0:
+            return sw
+        return su * (u * u).cmp(w * w * other.r)
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -252,20 +250,20 @@ class XS:
 
     # -- rounding -----------------------------------------------------
 
-    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+    def bounds(self) -> tuple[Fraction, Fraction]:
         """Directed rational bounds lo <= self <= hi."""
         if self.b == 0:
             return self.a, self.a
-        slo, shi = sqrt_bounds(Fraction(self.r), bits)
+        slo, shi = sqrt_bounds(Fraction(self.r))
         if self.b > 0:
             return self.a + self.b * slo, self.a + self.b * shi
         return self.a + self.b * shi, self.a + self.b * slo
 
-    def lower(self, bits: int = 64) -> Fraction:
-        return self.bounds(bits)[0]
+    def lower(self) -> Fraction:
+        return self.bounds()[0]
 
-    def upper(self, bits: int = 64) -> Fraction:
-        return self.bounds(bits)[1]
+    def upper(self) -> Fraction:
+        return self.bounds()[1]
 
     def sqrt_outward(self, up: bool) -> "XS":
         """Sound bound for sqrt(self) (self >= 0), exact when possible."""

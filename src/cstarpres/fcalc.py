@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .exact import XS, Coeff
+from .exact import BITS, XS, Coeff
 from .terms import (NF, NormedSet, call_nf, geq_zero_body, is_selfadjoint,
                     nf_coerce, star)
 from .bounds import Ival
@@ -53,14 +53,14 @@ def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     return s, s + term / (1 - x / (n + 2))
 
 
-def _dyadic(x: Fraction, up: bool, bits: int = 64) -> Fraction:
-    """x rounded up (or down) to m * 2^k with |m| <= 2^bits.
+def _dyadic(x: Fraction, up: bool) -> Fraction:
+    """x rounded up (or down) to m * 2^k with |m| <= 2^BITS.
 
     exp_bounds is exact, so its bit size multiplies by the number of
     Taylor terms; the bounds of nested entire calls stay small only if
     each one is rounded outward."""
     num, den = x.numerator, x.denominator
-    shift = bits - 1 - (abs(num).bit_length() - den.bit_length())
+    shift = BITS - 1 - (abs(num).bit_length() - den.bit_length())
     if shift >= 0:
         num <<= shift
     else:

@@ -203,6 +203,27 @@ def to_json_dict(p: Presentation) -> dict:
 
 # -- validation -------------------------------------------------------------
 
+def relation_problems(p: Presentation, rel: Relation, registry) -> list[str]:
+    """What makes `rel` ill formed in p: an undeclared generator and, in a
+    non-unital presentation, a unit monomial or an augmentation that is
+    nonzero or undetermined."""
+    probs = ["relation %s mentions undeclared generator %r" % (rel.name, s)
+             for s in sorted(rel.body.symbols()) if s not in p.gens]
+    if p.flavor == "nonunital":
+        if UNIT in rel.body:  # an NF keeps no zero coefficient
+            probs.append("unital relation in non-unital presentation: "
+                         "%s has a unit monomial" % rel.name)
+        else:
+            aug = augmentation(rel.body, registry)
+            if aug is None:
+                probs.append("relation %s: augmentation undetermined in "
+                             "non-unital presentation" % rel.name)
+            elif not aug.is_zero:
+                probs.append("unital relation in non-unital presentation: "
+                             "%s has augmentation %s" % (rel.name, aug))
+    return probs
+
+
 def validate(p: Presentation, registry) -> list[str]:
     """Diagnostics; empty iff the presentation is well formed."""
     diags = []
@@ -213,23 +234,7 @@ def validate(p: Presentation, registry) -> list[str]:
         if r.name in seen:
             diags.append("duplicate relation name %r" % r.name)
         seen.add(r.name)
-        for s in sorted(r.body.symbols()):
-            if s not in p.gens:
-                diags.append("relation %s mentions undeclared generator %r"
-                             % (r.name, s))
-        if p.flavor == "nonunital":
-            unit_c = r.body.get(UNIT)
-            if unit_c is not None and not unit_c.is_zero:
-                diags.append("unital relation in non-unital presentation: "
-                             "%s has a unit monomial" % r.name)
-            else:
-                aug = augmentation(r.body, registry)
-                if aug is None:
-                    diags.append("relation %s: augmentation undetermined in "
-                                 "non-unital presentation" % r.name)
-                elif not aug.is_zero:
-                    diags.append("unital relation in non-unital presentation: "
-                                 "%s has augmentation %s" % (r.name, aug))
+        diags.extend(relation_problems(p, r, registry))
     return diags
 
 

@@ -47,11 +47,6 @@ class ScriptStep:
     schema: str = ""
     bindings: list = field(default_factory=list)  # (var, source text)
 
-    def label(self) -> str:
-        if self.kind == "delgen":
-            return "delgen %s via %s" % (self.name, self.via)
-        return "%s %s" % (self.kind, self.name)
-
 
 @dataclass
 class Script:
@@ -68,48 +63,33 @@ def _parse_cert(src: str, lineno: int) -> list:
     body = src.strip()
     if not (body.startswith("cert[") and body.endswith("]")):
         raise ScriptError("line %d: malformed cert[...] justification" % lineno)
-    inner = body[len("cert["):-1].strip()
     items = []
-    for raw in split_top(inner, ";"):
+    for raw in split_top(body[len("cert["):-1], ";"):
         s = raw.strip()
         if not s:
             continue
-        if not s.startswith("("):
-            raise ScriptError("line %d: cert summand must start with a "
-                              "parenthesized left factor" % lineno)
-        depth, i = 0, 0
+        groups, depth = [], 0  # [open, close] of each top-level (...) group
         for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        a = s[1:i]
-        rest = s[i + 1:].strip()
-        if not rest.endswith(")"):
-            raise ScriptError("line %d: cert summand must end with a "
-                              "parenthesized right factor" % lineno)
-        depth, j = 0, len(rest) - 1
-        while j >= 0:
-            if rest[j] == ")":
-                depth += 1
-            elif rest[j] == "(":
-                depth -= 1
-                if depth == 0:
-                    break
-            j -= 1
-        if j < 0:
-            raise ScriptError("line %d: unbalanced cert summand" % lineno)
-        b = rest[j + 1:-1]
-        rel = rest[:j].strip()
+            if ch == "(" and depth == 0:
+                groups.append([i, None])
+            depth += (ch == "(") - (ch == ")")
+            if depth < 0:
+                break
+            if ch == ")" and depth == 0:
+                groups[-1][1] = i
+        if (depth or len(groups) != 2 or groups[0][0] != 0
+                or groups[1][1] != len(s) - 1):
+            raise ScriptError("line %d: cert summand %r is not "
+                              "'(a) relation (b)'" % (lineno, s))
+        (_, i), (j, _) = groups
+        rel = s[i + 1:j].strip()
         starred = rel.endswith("*")
         if starred:
             rel = rel[:-1].strip()
         if not rel:
             raise ScriptError("line %d: cert summand cites no relation"
                               % lineno)
-        items.append((a, rel, starred, b))
+        items.append((s[1:i], rel, starred, s[j + 1:-1]))
     return items
 
 
@@ -249,6 +229,10 @@ def build_derivation(script: Script, registry) -> tuple:
     """Parse each step against the generator set in force before it;
     returns the derivation plus one label per move for reporting.
 
+    Each line is one elementary move, except an `addrel` line whose text
+    expands to several relations (the `inv` macro gives n_l and n_r):
+    it becomes one move per relation, each with the line's justification.
+
     A pure front end: no move is applied here, so each move is checked
     once, by `tietze.check_derivation`.  Only addgen and delgen change the
     generator set, and they are tracked syntactically.  ScriptError means
@@ -257,33 +241,32 @@ def build_derivation(script: Script, registry) -> tuple:
     start = load_presentation(script.start_path, registry)
     end = load_presentation(script.end_path, registry)
     gens = start.gens.copy()
-    moves, labels = [], []
+    moves = []
     for step in script.steps:
         try:
             if step.kind == "addrel":
                 rels = parse_relation_text(step.name, step.text, gens,
                                            registry)
                 just = _build_justification(step, gens, registry)
-                move = tietze.AddRelations(tuple((r, just) for r in rels))
+                moves.extend(tietze.AddRelations(r, just) for r in rels)
             elif step.kind == "delrel":
                 just = _build_justification(step, gens, registry)
-                move = tietze.RemoveRelations(step.name, just)
+                moves.append(tietze.RemoveRelations(step.name, just))
             elif step.kind == "addgen":
                 cap = parse_normvalue(step.cap)
                 defining = parse_term(step.text, gens, registry)
-                move = tietze.AddGenerators(((step.name, cap, defining),))
+                moves.append(tietze.AddGenerators(step.name, cap, defining))
                 if step.name not in gens and valid_ident(step.name):
                     gens.add(step.name, cap)
             elif step.kind == "delgen":
-                move = tietze.RemoveGenerators(step.name, step.via)
+                moves.append(tietze.RemoveGenerators(step.name, step.via))
                 gens = gens.without(step.name)
             else:  # pragma: no cover - load_script rejects other kinds
                 raise ScriptError("unknown step")
         except ValueError as e:
             raise ScriptError("line %d: %s" % (step.lineno, e))
-        moves.append(move)
-        labels.append(step.label())
-    return tietze.Derivation(start, tuple(moves), end), labels
+    return (tietze.Derivation(start, tuple(moves), end),
+            [tietze.describe_move(m) for m in moves])
 
 
 def check_script(path: str, mode: str, registry,

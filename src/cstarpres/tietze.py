@@ -1,8 +1,12 @@
 """Elementary presentation moves with machine-checkable justifications.
 
-A removal move is single: `RemoveRelations` drops one relation and
-`RemoveGenerators` one generator, through the relation that defines it.
-`AddRelations` and `AddGenerators` may carry several items.
+Every move is elementary and carries one item: `AddRelations` adds one
+relation and `RemoveRelations` drops one; `AddGenerators` adds one
+generator with its defining relation def_<sym>, and `RemoveGenerators`
+drops one generator through the relation that defines it.  An added
+relation must pass `presentation.relation_problems`, the check that
+`validate` runs, so a non-unital presentation only gains relations of
+augmentation zero.
 
 The kernel accepts two kinds of positive evidence that a relation is
 redundant: an exact ideal-membership certificate (a finite sum
@@ -30,7 +34,7 @@ from .terms import (ADJ, NF, Atom, GEN, Monomial, NormedSet, UNIT, atom_key,
                     gen_nf, match_geq_body, nf_coerce, solve_for, star,
                     substitute, monomial_key, valid_ident)
 from .presentation import (Presentation, Relation, _fresh, join,
-                           structural_equal)
+                           relation_problems, structural_equal)
 from . import bounds
 
 
@@ -68,7 +72,8 @@ def lemma_citation(schema: str, **bindings) -> LemmaCitation:
 
 @dataclass(frozen=True)
 class AddRelations:
-    items: tuple  # of (Relation, justification)
+    rel: Relation
+    just: object
     kind = "addrel"
 
 
@@ -81,7 +86,9 @@ class RemoveRelations:
 
 @dataclass(frozen=True)
 class AddGenerators:
-    items: tuple  # of (symbol, cap XS, defining NF over the old generators)
+    sym: str
+    cap: XS
+    defining: NF  # over the generators already declared
     kind = "addgen"
 
 
@@ -316,12 +323,12 @@ def _subtract(combo: dict, steps: list, combos: list):
 
 # -- justification checking ----------------------------------------------------
 
-def _context_for(p: Presentation, registry, report: StepReport | None = None,
-                 label: str = "") -> bounds.Context:
-    """The bound context of p's relations; a step report is told when
+def _context_for(p: Presentation, registry, report: StepReport,
+                 label: str) -> bounds.Context:
+    """The bound context of p's relations; the step report is told when
     absorption stopped at `bounds.MAX_PASSES` short of a fixpoint."""
     ctx = bounds.context_from_relations(p.gens, registry, p.bodies())
-    if not ctx.converged and report is not None:
+    if not ctx.converged:
         report.notes.append(
             "%s: bound context not converged after %d passes (its facts "
             "are sound, possibly not the tightest)" % (label, ctx.rounds))
@@ -431,22 +438,17 @@ def apply_move(p: Presentation, move, mode: str, registry,
                index: int = 0) -> tuple[Presentation, StepReport]:
     if mode not in ("strict", "permissive"):
         raise ValueError("mode must be strict or permissive")
-    report = StepReport(index, move.kind, describe_move(move))
+    label = describe_move(move)
+    report = StepReport(index, move.kind, label)
     if isinstance(move, AddRelations):
-        names = set(p.relation_names())
-        new = list(p.relations)
-        for rel, just in move.items:
-            if rel.name in names:
-                raise MoveError("addrel %s: name already present" % rel.name)
-            for s in rel.body.symbols():
-                if s not in p.gens:
-                    raise MoveError("addrel %s: unknown generator %r"
-                                    % (rel.name, s))
-            _check_justification(p, rel.body, just, registry, mode,
-                                 "addrel %s" % rel.name, report)
-            names.add(rel.name)
-            new.append(rel)
-        return p.with_relations(tuple(new)), report
+        rel = move.rel
+        if p.relation(rel.name) is not None:
+            raise MoveError("%s: name already present" % label)
+        for problem in relation_problems(p, rel, registry):
+            raise MoveError("%s: %s" % (label, problem))
+        _check_justification(p, rel.body, move.just, registry, mode, label,
+                             report)
+        return p.with_relations(p.relations + (rel,)), report
 
     if isinstance(move, RemoveRelations):
         rel = p.relation(move.name)
@@ -455,34 +457,33 @@ def apply_move(p: Presentation, move, mode: str, registry,
         remaining = p.with_relations(tuple(
             r for r in p.relations if r.name != move.name))
         _check_justification(remaining, rel.body, move.just, registry, mode,
-                             "delrel %s" % move.name, report)
+                             label, report)
         return remaining, report
 
     if isinstance(move, AddGenerators):
+        sym = move.sym
+        if sym in p.gens:
+            raise MoveError("%s: symbol already declared" % label)
+        if not valid_ident(sym):
+            raise MoveError("addgen: bad symbol %r" % sym)
+        for s in move.defining.symbols():
+            if s not in p.gens:
+                raise MoveError(
+                    "%s: defining term must be over the existing generators "
+                    "(mentions %r)" % (label, s))
+        rel = Relation("def_" + sym, gen_nf(sym) - move.defining, "derived")
+        if p.relation(rel.name) is not None:
+            raise MoveError("%s: relation name %s already taken"
+                            % (label, rel.name))
         gens = p.gens.copy()
-        rels = list(p.relations)
-        names = set(p.relation_names())
-        ctx = _context_for(p, registry, report, describe_move(move))
-        for sym, cap, defining in move.items:
-            if sym in gens:
-                raise MoveError("addgen %s: symbol already declared" % sym)
-            if not valid_ident(sym):
-                raise MoveError("addgen: bad symbol %r" % sym)
-            for s in defining.symbols():
-                if s not in p.gens:
-                    raise MoveError(
-                        "addgen %s: defining term must be over the existing "
-                        "generators (mentions %r)" % (sym, s))
-            _norm_condition(sym, cap, defining, ctx, mode,
-                            "addgen %s" % sym, report)
-            gens.add(sym, cap)
-            rel_name = "def_" + sym
-            if rel_name in names:
-                raise MoveError("addgen %s: relation name %s already taken"
-                                % (sym, rel_name))
-            names.add(rel_name)
-            rels.append(Relation(rel_name, gen_nf(sym) - defining, "derived"))
-        return Presentation(p.flavor, gens, tuple(rels), p.notes), report
+        gens.add(sym, move.cap)
+        q = Presentation(p.flavor, gens, p.relations + (rel,), p.notes)
+        for problem in relation_problems(q, rel, registry):
+            raise MoveError("%s: %s" % (label, problem))
+        _norm_condition(sym, move.cap, move.defining,
+                        _context_for(p, registry, report, label), mode, label,
+                        report)
+        return q, report
 
     if isinstance(move, RemoveGenerators):
         sym, via = move.sym, move.via
@@ -500,7 +501,6 @@ def apply_move(p: Presentation, move, mode: str, registry,
                 "delgen %s: relation %s is not of eliminable shape "
                 "(defining term still mentions %s)" % (sym, via, sym))
         rest = tuple(r for r in p.relations if r.name != via)
-        label = "delgen %s via %s" % (sym, via)
         ctx = _context_for(p.with_relations(rest), registry, report, label)
         _norm_condition(sym, p.gens.norm(sym), t, ctx, mode, label, report)
         sub = {sym: t}
@@ -518,15 +518,14 @@ def apply_move(p: Presentation, move, mode: str, registry,
 
 def describe_move(move) -> str:
     if isinstance(move, AddRelations):
-        return "addrel " + ", ".join(rel.name for rel, _ in move.items)
+        return "addrel " + move.rel.name
     if isinstance(move, RemoveRelations):
         return "delrel " + move.name
     if isinstance(move, AddGenerators):
-        return "addgen " + ", ".join(sym for sym, _, _ in move.items)
+        return "addgen " + move.sym
     if isinstance(move, RemoveGenerators):
-        return "delgen " + move.sym
+        return "delgen %s via %s" % (move.sym, move.via)
     return str(move)
-
 
 
 # -- derivation replay -----------------------------------------------------------
@@ -594,12 +593,13 @@ def bridge(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
     dict1 maps p1 generators to terms over p2's generators and dict2 the
     reverse.  p2's generators and relations are renamed apart from p1's
     as `presentation.join` renames them (x -> x_2), and the dictionaries
-    with them.  Each skeleton is an `addgen` move of the other side's
-    generators with their dictionary definitions, which discharges their
-    norm caps as any `addgen` does, then an `addrel` move of the other
-    side's relations and the remaining dictionary relations,
-    auto-justified where possible.  A move that `apply_move` rejects
-    raises BridgeError.
+    with them.  Each skeleton adds the other side's generators one
+    `addgen` at a time, with their dictionary definitions; each is
+    applied with `apply_move`, which discharges its norm cap.  Then it
+    adds the other side's relations and the remaining dictionary
+    relations, one `addrel` each, auto-justified where possible against
+    the presentation reached by the `addgen` moves.  An `addgen` that
+    `apply_move` rejects raises BridgeError.
     """
     if p1.flavor != "unital" or p2.flavor != "unital":
         raise BridgeError("bridge is defined for unital presentations")
@@ -634,20 +634,22 @@ def bridge(p1: Presentation, p2: Presentation, dict1: dict, dict2: dict,
 
     def skeleton(src: Presentation, other: Presentation, d: dict,
                  m_other: list) -> Derivation:
-        add = AddGenerators(tuple(
-            (s, other.gens.norm(s), d[s]) for s in other.gens.names()))
+        moves = [AddGenerators(s, other.gens.norm(s), d[s])
+                 for s in other.gens.names()]
+        mid = src
         try:
-            mid, _ = apply_move(src, add, mode, registry)
+            for move in moves:
+                mid, _ = apply_move(mid, move, mode, registry)
         except MoveError as e:
             raise BridgeError(str(e)) from None
         taken = set(mid.relation_names())
-        items = []
         for rel in list(other.relations) + m_other:
             nm = _fresh(rel.name, taken)
             taken.add(nm)
-            items.append((Relation(nm, rel.body, rel.origin),
-                          auto_justify(mid, rel.body, registry, degree)))
-        return Derivation(src, (add, AddRelations(tuple(items))), joint)
+            moves.append(AddRelations(
+                Relation(nm, rel.body, rel.origin),
+                auto_justify(mid, rel.body, registry, degree)))
+        return Derivation(src, tuple(moves), joint)
 
     drv1 = skeleton(p1, p2, dict2, m2)
     drv2 = skeleton(p2, p1, dict1, m1)

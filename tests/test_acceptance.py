@@ -52,7 +52,7 @@ def test_criterion_2_norm_pitfall(corpus, reg):
     # strict mode: the sound free bound of x* x is 1 > 1/4.
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
     x = gen_nf("x")
-    move = tietze.AddGenerators((("y", XS(Fraction(1, 4)), star(x) * x),))
+    move = tietze.AddGenerators("y", XS(Fraction(1, 4)), star(x) * x)
     with pytest.raises(tietze.MoveError) as ei:
         tietze.apply_move(p, move, "strict", reg)
     assert "1/4" in str(ei.value)
@@ -166,8 +166,10 @@ def test_criterion_6_bridge(corpus, reg):
     d1 = {"x": parse_term("2 y - 1", p2.gens, reg)}
     d2 = {"y": parse_term("1/2 x + 1/2", p1.gens, reg)}
     joint, s1, s2 = tietze.bridge(p1, p2, d1, d2, reg, degree=1)
-    # two moves per side: four Tietze transformations connect p1 and p2
-    assert len(s1.steps) + len(s2.steps) == 4
+    # one move per generator and per relation: each side adds the other
+    # side's generator, then its relation and the dictionary relation of
+    # its own generator, so six elementary Tietze moves connect p1 and p2
+    assert len(s1.steps) + len(s2.steps) == 6
     for drv in (s1, s2):
         rep = tietze.check_derivation(drv, "strict", reg)
         assert rep.overall == "PASS"
@@ -300,7 +302,7 @@ def _suite_inverse_pairs(rng, reg, n):
         b = _random_nf(rng, max_deg=1)
         cert = tietze.Certificate(((a, "r1", False, b),))
         add = tietze.AddRelations(
-            ((Relation("extra", a * base * b, "derived"), cert),))
+            Relation("extra", a * base * b, "derived"), cert)
         q, _ = tietze.apply_move(p, add, "strict", reg)
         back, _ = tietze.apply_move(
             q, tietze.RemoveRelations("extra", cert), "strict", reg)
@@ -311,7 +313,7 @@ def _suite_inverse_pairs(rng, reg, n):
         ctx = bounds.context_from_relations(p.gens, reg, p.bodies())
         # caps must be rational or sqrt(rational); round the bound up
         cap = XS(math.floor(float(bounds.norm_bound(defining, ctx))) + 1)
-        add = tietze.AddGenerators((("z", cap, defining),))
+        add = tietze.AddGenerators("z", cap, defining)
         q, _ = tietze.apply_move(p, add, "strict", reg)
         back, _ = tietze.apply_move(
             q, tietze.RemoveGenerators("z", "def_z"), "strict", reg)

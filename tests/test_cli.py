@@ -148,6 +148,51 @@ def test_check_move_error_is_failed_step(capsys, corpus, tmp_path, step,
     assert lines[-1] == "overall: FAIL (stopped at step 1: %s)" % error
 
 
+def test_check_nonunital_addgen_with_augmentation_fails(capsys, tmp_path):
+    # def_y = y - exp(x) has augmentation -1, so the end presentation would
+    # not validate; the norm cap 3 >= e alone would let the step pass
+    (tmp_path / "nu.pres").write_text(
+        "flavor: non-unital\ngenerators:\n  x : 1\nrelations:\n"
+        "  sa_x : x = x*\n")
+    (tmp_path / "nu_y.pres").write_text(
+        "flavor: non-unital\ngenerators:\n  x : 1\n  y : 3\nrelations:\n"
+        "  sa_x : x = x*\n  def_y : y = exp(x)\n")
+    script = tmp_path / "nu.drv"
+    script.write_text("start: nu.pres\nend: nu_y.pres\n"
+                      "1. addgen y : 3 := exp(x)\n")
+    code, out, _ = run(capsys, "check", str(script), "--strict",
+                       "--manifest", "")
+    assert code == 1
+    error = ("addgen y: unital relation in non-unital presentation: def_y "
+             "has augmentation -1")
+    assert out.splitlines() == [
+        "mode: strict", "step 1: addgen y ... FAIL", "  " + error,
+        "gaps: 0", "overall: FAIL (stopped at step 1: %s)" % error]
+    code, out, _ = run(capsys, "validate", "-p", str(tmp_path / "nu_y.pres"),
+                       "--manifest", "")
+    assert code == 1
+    assert out.strip() == ("unital relation in non-unital presentation: "
+                           "def_y has augmentation -1")
+
+
+def test_check_cap_equal_in_value_to_the_bound_passes(capsys, tmp_path):
+    # 101 y has norm bound 101*sqrt(103/10201) = sqrt(103), stored with
+    # the radicand 101^2*103, which is the cap in a different form
+    gens = "flavor: unital\ngenerators:\n  x : sqrt(103)\n" \
+        "  y : sqrt(103/10201)\n"
+    (tmp_path / "s.pres").write_text(gens + "relations:\n")
+    (tmp_path / "s_z.pres").write_text(
+        gens + "  z : sqrt(103)\nrelations:\n  def_z : z = 101 y\n")
+    script = tmp_path / "s.drv"
+    script.write_text("start: s.pres\nend: s_z.pres\n"
+                      "1. addgen z : sqrt(103) := 101 y\n")
+    code, out, _ = run(capsys, "check", str(script), "--strict",
+                       "--manifest", "")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "gaps: 0", "overall: PASS (end presentation matches)"]
+
+
 def test_check_unparsable_step_is_exit_2(capsys, corpus, tmp_path):
     (tmp_path / "sa.pres").write_text(
         (corpus / "self_adjoint.pres").read_text())

@@ -31,6 +31,34 @@ def test_exact_sign_and_cmp():
     assert (s2 + s2).cmp(XS(2)) > 0
 
 
+def test_cmp_decides_radicands_with_a_large_square_factor():
+    # 101^2 * 103 keeps its square factor (101 > 97 is not trial-divided),
+    # so sqrt(103/10201) is stored as 1/10201*sqrt(1050703), equal in value
+    # to sqrt(103)/101 with a different radicand
+    y = XS.sqrt_of(Fraction(103, 10201))
+    assert y.r == 1050703
+    assert (y * 101).cmp(XS.sqrt_of(103)) == 0
+    assert (y * 101 + 1).cmp(XS.sqrt_of(103) + 1) == 0
+    assert (y * 101).cmp(XS.sqrt_of(103) + Fraction(1, 10 ** 30)) < 0
+    assert (XS(1) - y * 101).cmp(XS(1) - XS.sqrt_of(103)) == 0
+
+
+def test_cmp_agrees_with_float_order_on_mixed_radicands():
+    rng = random.Random(5)
+    radicands = [2, 3, 5, 6, 7, 103, 1050703, 20402, 12]
+
+    def draw():
+        return XS(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+                  Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+                  rng.choice(radicands))
+    for _ in range(3000):
+        a, b = draw(), draw()
+        fa, fb = float(a), float(b)
+        if abs(fa - fb) > 1e-9:
+            assert a.cmp(b) == (fa > fb) - (fa < fb), (a, b)
+            assert b.cmp(a) == -a.cmp(b)
+
+
 def test_field_ops_same_radicand():
     s3 = XS.sqrt_of(Fraction(3))
     v = (XS(1) + s3) * (XS(1) - s3)

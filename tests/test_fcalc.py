@@ -211,8 +211,8 @@ def test_every_schema_validates_on_200_samples(reg):
 
 def _cite(p, name, body, schema, mode="strict", registry=None, **bindings):
     """Apply `addrel name := body by fclemma(schema; bindings)` to p."""
-    move = AddRelations(((Relation(name, body, "derived"),
-                          lemma_citation(schema, **bindings)),))
+    move = AddRelations(Relation(name, body, "derived"),
+                        lemma_citation(schema, **bindings))
     return apply_move(p, move, mode, registry or builtin_registry())
 
 

@@ -7,7 +7,8 @@ import pytest
 from cstarpres import bounds, scripts, tietze
 from cstarpres.exact import XS
 from cstarpres.parser import parse_term
-from cstarpres.presentation import load_presentation, to_json_dict
+from cstarpres.presentation import (load_presentation, structural_equal,
+                                    to_json_dict, validate)
 from cstarpres.scripts import (ScriptError, build_derivation, check_script,
                                load_script, render_report, report_json_text,
                                report_to_json)
@@ -92,7 +93,7 @@ def test_build_derivation_small(reg, tmp_path):
                  "1. addrel dbl := 2 x = 2 x* by cert[(2) sa_x (1)]\n")
     drv, labels = build_derivation(load_script(path), reg)
     assert labels == ["addrel dbl"]
-    rel, just = drv.steps[0].items[0]
+    rel, just = drv.steps[0].rel, drv.steps[0].just
     assert rel.name == "dbl"
     assert isinstance(just, Certificate)
     report = scripts.tietze.check_derivation(drv, "strict", reg)
@@ -110,7 +111,7 @@ def test_build_derivation_typed_bindings(reg, tmp_path):
                  "1/2 (1 + x* x)*) by fclemma(positive_from_interval; "
                  "A = 1 + x* x)\n")
     drv, _ = build_derivation(load_script(path), reg)
-    _, just = drv.steps[0].items[0]
+    just = drv.steps[0].just
     assert isinstance(just, LemmaCitation)
     assert just.schema == "positive_from_interval"
     (name, val), = just.bindings
@@ -124,11 +125,32 @@ def test_oracle_step_counts_as_gap(reg, tmp_path):
     path = write(tmp_path, "t.drv", HEADER +
                  "1. addrel dbl := 2 x = 2 x* by oracle\n")
     drv, _ = build_derivation(load_script(path), reg)
-    _, just = drv.steps[0].items[0]
+    just = drv.steps[0].just
     assert isinstance(just, OraclePending)
     rep = scripts.tietze.check_derivation(drv, "permissive", reg)
     assert rep.overall == "PASS"
     assert [k for k, _ in rep.steps[0].gaps] == ["oracle-pending"]
+
+
+def test_inv_line_is_two_moves(reg, tmp_path):
+    fixture_pres(tmp_path)
+    write(tmp_path, "c.pres",
+          "flavor: unital\ngenerators:\n  x : 1\nrelations:\n"
+          "  sa_x : x = x*\n  n : inv(x, 1)\n")
+    path = write(tmp_path, "t.drv", "start: a.pres\nend: c.pres\n"
+                 "1. addrel n := inv(x, 1) by oracle\n")
+    drv, labels = build_derivation(load_script(path), reg)
+    assert labels == ["addrel n_l", "addrel n_r"]
+    assert [m.rel.name for m in drv.steps] == ["n_l", "n_r"]
+    rep, labels, _ = check_script(path, "permissive", reg)
+    assert rep.overall == "PASS"
+    assert [(s.index, k) for s in rep.steps for k, _ in s.gaps] == [
+        (1, "oracle-pending"), (2, "oracle-pending")]
+    assert render_report(rep, labels).splitlines()[1:5] == [
+        "step 1: addrel n_l ... ok",
+        "  gap [oracle-pending] addrel n_l: declared oracle step",
+        "step 2: addrel n_r ... ok",
+        "  gap [oracle-pending] addrel n_r: declared oracle step"]
 
 
 def test_corpus_sa_to_positive_strict(reg, corpus):
@@ -256,6 +278,20 @@ def test_bound_engine_never_repeats_an_evaluation(reg, corpus, monkeypatch):
                              "permissive", reg)
     assert rep.overall == "PASS"
     assert seen and not repeats
+
+
+@pytest.mark.parametrize("name", ["idempotent_to_projections",
+                                  "left_inv_chain",
+                                  "self_adjoint_to_positive"])
+def test_corpus_replay_keeps_every_presentation_valid(reg, corpus, name):
+    drv, _ = build_derivation(load_script(str(corpus / (name + ".drv"))),
+                              reg)
+    cur = drv.start
+    assert validate(cur, reg) == []
+    for i, move in enumerate(drv.steps, 1):
+        cur, _ = tietze.apply_move(cur, move, "permissive", reg, index=i)
+        assert validate(cur, reg) == [], (i, tietze.describe_move(move))
+    assert structural_equal(cur, drv.claimed_end)
 
 
 GOLDEN = Path(__file__).parent / "golden"

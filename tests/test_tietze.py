@@ -10,8 +10,8 @@ from cstarpres.parser import parse_term
 from cstarpres.presentation import (Presentation, Relation,
                                     load_presentation, parse_presentation,
                                     structural_equal)
-from cstarpres.terms import (NF, NormedSet, adj_nf, gen_nf, geq_zero_body,
-                             monomial_key, nf_coerce, star)
+from cstarpres.terms import (NF, NormedSet, adj_nf, call_nf, gen_nf,
+                             geq_zero_body, monomial_key, nf_coerce, star)
 from cstarpres.tietze import (AddGenerators, AddRelations, Certificate,
                               Derivation, MoveError, OraclePending,
                               RemoveGenerators, RemoveRelations, apply_move,
@@ -342,11 +342,11 @@ def chain_derivation(reg):
     half = Fraction(1, 2)
     pos_body = geq_zero_body(y)
     steps = (
-        AddGenerators((("y", XS(1), x * half + nf_coerce(half)),)),
-        AddRelations(((Relation("pos_y", pos_body, "derived"),
-                       lemma_citation("positive_from_interval", A=y)),)),
-        AddRelations(((Relation("def_x", x - y * 2 + ONE, "derived"),
-                       Certificate(((nf_coerce(-2), "def_y", False, ONE),))),)),
+        AddGenerators("y", XS(1), x * half + nf_coerce(half)),
+        AddRelations(Relation("pos_y", pos_body, "derived"),
+                     lemma_citation("positive_from_interval", A=y)),
+        AddRelations(Relation("def_x", x - y * 2 + ONE, "derived"),
+                     Certificate(((nf_coerce(-2), "def_y", False, ONE),))),
         RemoveRelations("def_y",
                         Certificate(((nf_coerce(Fraction(-1, 2)), "def_x",
                                       False, ONE),))),
@@ -415,18 +415,21 @@ def test_addrel_duplicate_and_unknown_gen(reg):
     p = sa_pres()
     x = gen_nf("x")
     with pytest.raises(MoveError):
-        apply_move(p, AddRelations(((Relation("r1", x, "axiom"),
-                                     OraclePending()),)), "permissive", reg)
-    with pytest.raises(MoveError):
-        apply_move(p, AddRelations(((Relation("r9", gen_nf("w"), "axiom"),
-                                     OraclePending()),)), "permissive", reg)
+        apply_move(p, AddRelations(Relation("r1", x, "axiom"),
+                                   OraclePending()), "permissive", reg)
+    with pytest.raises(MoveError) as ei:
+        apply_move(p, AddRelations(Relation("r9", gen_nf("w"), "axiom"),
+                                   OraclePending()), "permissive", reg)
+    # the message `validate` gives for the same relation
+    assert str(ei.value) == ("addrel r9: relation r9 mentions undeclared "
+                             "generator 'w'")
 
 
 def test_failed_certificate_is_an_error(reg):
     p = sa_pres()
     x = gen_nf("x")
     bad = Certificate(((ONE, "r1", False, ONE),))
-    move = AddRelations(((Relation("r2", x * x, "axiom"), bad),))
+    move = AddRelations(Relation("r2", x * x, "axiom"), bad)
     with pytest.raises(MoveError):
         apply_move(p, move, "permissive", reg)
 
@@ -434,8 +437,8 @@ def test_failed_certificate_is_an_error(reg):
 def test_oracle_pending_strict_vs_permissive(reg):
     p = sa_pres()
     x = gen_nf("x")
-    move = AddRelations(((Relation("r2", x + star(x) - x * 2, "axiom"),
-                          OraclePending("to be proved")),))
+    move = AddRelations(Relation("r2", x + star(x) - x * 2, "axiom"),
+                        OraclePending("to be proved"))
     with pytest.raises(MoveError):
         apply_move(p, move, "strict", reg)
     q, rep = apply_move(p, move, "permissive", reg)
@@ -446,7 +449,7 @@ def test_oracle_pending_strict_vs_permissive(reg):
 def test_addgen_norm_gap(reg, corpus):
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
     x = gen_nf("x")
-    move = AddGenerators((("y", XS(Fraction(1, 4)), star(x) * x),))
+    move = AddGenerators("y", XS(Fraction(1, 4)), star(x) * x)
     with pytest.raises(MoveError):
         apply_move(p, move, "strict", reg)
     q, rep = apply_move(p, move, "permissive", reg)
@@ -457,9 +460,38 @@ def test_addgen_norm_gap(reg, corpus):
 def test_addgen_fresh_symbol_checks(reg):
     p = sa_pres()
     with pytest.raises(MoveError):
-        apply_move(p, AddGenerators((("x", XS(1), ONE),)), "strict", reg)
+        apply_move(p, AddGenerators("x", XS(1), ONE), "strict", reg)
     with pytest.raises(MoveError):
-        apply_move(p, AddGenerators((("y", XS(1), gen_nf("z")),)), "strict", reg)
+        apply_move(p, AddGenerators("y", XS(1), gen_nf("z")), "strict", reg)
+
+
+NONUNITAL = ("flavor: non-unital\ngenerators:\n  x : 1\nrelations:\n"
+             "  sa_x : x = x*\n")
+
+
+@pytest.mark.parametrize("move,mode,error", [
+    (AddGenerators("y", XS(2), gen_nf("x") + ONE), "strict",
+     "addgen y: unital relation in non-unital presentation: def_y has a "
+     "unit monomial"),
+    (AddGenerators("y", XS(3), call_nf("exp", gen_nf("x"))), "strict",
+     "addgen y: unital relation in non-unital presentation: def_y has "
+     "augmentation -1"),
+    (AddRelations(Relation("z", call_nf("exp", gen_nf("x"))),
+                  OraclePending()), "permissive",
+     "addrel z: unital relation in non-unital presentation: z has "
+     "augmentation 1"),
+])
+def test_added_relation_passes_the_validate_check(reg, move, mode, error):
+    # each move would reach a presentation that `validate` rejects
+    p = parse_presentation(NONUNITAL, reg)
+    with pytest.raises(MoveError) as ei:
+        apply_move(p, move, mode, reg)
+    assert str(ei.value) == error
+
+
+def test_describe_delgen_names_its_relation():
+    assert tietze.describe_move(RemoveGenerators("x", "def_x")) \
+        == "delgen x via def_x"
 
 
 def test_delgen_shape_errors(reg):
@@ -498,8 +530,8 @@ def test_inverse_pair_relations(reg):
     x = gen_nf("x")
     body = (x - star(x)) * 2
     cert = Certificate(((nf_coerce(2), "r1", False, ONE),))
-    q, _ = apply_move(p, AddRelations(((Relation("r2", body, "derived"),
-                                        cert),)), "strict", reg)
+    q, _ = apply_move(p, AddRelations(Relation("r2", body, "derived"),
+                                      cert), "strict", reg)
     back, _ = apply_move(q, RemoveRelations("r2", cert), "strict", reg)
     assert structural_equal(back, p)
 
@@ -508,7 +540,7 @@ def test_inverse_pair_generators(reg):
     p = sa_pres()
     x = gen_nf("x")
     half = Fraction(1, 2)
-    move = AddGenerators((("y", XS(1), x * half + nf_coerce(half)),))
+    move = AddGenerators("y", XS(1), x * half + nf_coerce(half))
     q, _ = apply_move(p, move, "strict", reg)
     assert q.gens.names() == ["x", "y"]
     back, _ = apply_move(q, RemoveGenerators("y", "def_y"), "strict", reg)
@@ -654,7 +686,7 @@ def test_unconverged_bound_context_is_noted(reg):
     p = Presentation("unital", g, (
         Relation("rx", x - y * Fraction(1, 2), "axiom"),
         Relation("ry", y - x * Fraction(1, 2), "axiom")))
-    move = AddGenerators((("z", XS(1), x),))
+    move = AddGenerators("z", XS(1), x)
     _, rep = apply_move(p, move, "strict", reg)
     assert rep.status == "ok"
     assert any("addgen z: bound context not converged" in n
@@ -671,8 +703,8 @@ def test_self_adjointness_certified_by_the_ambient_relations(reg):
     g.add("y", XS(1))
     xy = gen_nf("x") * gen_nf("y")
     p = Presentation("unital", g, (Relation("pos", geq_zero_body(xy)),))
-    move = AddRelations(((Relation("t", geq_zero_body(xy), "derived"),
-                          lemma_citation("positive_from_interval", A=xy)),))
+    move = AddRelations(Relation("t", geq_zero_body(xy), "derived"),
+                        lemma_citation("positive_from_interval", A=xy))
     _, rep = apply_move(p, move, "strict", reg)
     assert rep.status == "ok"
     assert len(rep.notes) == 1
@@ -696,14 +728,14 @@ def test_lemma_builds_a_bound_context_only_for_side_conditions(
     x, r = gen_nf("x"), gen_nf("r")
     p = Presentation("unital", g, p.relations + (
         Relation("def_r", r - fcalc.range_projection_formula(x)),))
-    move = AddRelations(((Relation("proj", r * r - r, "derived"),
-                          lemma_citation("projection_from_idempotent_range",
-                                         P=r, Y=x)),))
+    move = AddRelations(Relation("proj", r * r - r, "derived"),
+                        lemma_citation("projection_from_idempotent_range",
+                                       P=r, Y=x))
     apply_move(p, move, "strict", reg)
     assert built == []
-    move = AddRelations(((Relation("pos_r", geq_zero_body(r * star(r)),
-                                   "derived"),
-                          lemma_citation("positive_from_interval",
-                                         A=r * star(r))),))
+    move = AddRelations(Relation("pos_r", geq_zero_body(r * star(r)),
+                                 "derived"),
+                        lemma_citation("positive_from_interval",
+                                       A=r * star(r)))
     apply_move(p, move, "strict", reg)
     assert built == [p]
