@@ -7,10 +7,12 @@ exponential).  On top of evaluation sit a seeded penalized feasibility
 search, a redundancy refuter, and a norm lower-bound witness search.
 Terms are compiled once into plans of complex coefficients and atoms,
 and evaluated on stacks of assignments, so a search runs all its
-restarts as one Adam.  The search's gradient is reverse mode through
-every atom, reusing the products of the forward pass: divided
-differences of the scalar function for spectral calls (Daleckii-Krein)
-and the Frechet derivative of the matrix exponential for entire ones.
+restarts as one Adam, then polishes them all in one Levenberg-Marquardt
+with a damping per row.  The gradient and the polish's Jacobian are
+reverse mode through every atom, reusing the products of the forward
+pass: divided differences of the scalar function for spectral calls
+(Daleckii-Krein) and the Frechet derivative of the matrix exponential
+for entire ones.
 None of this is trusted by the symbolic kernel: a witness refutes, a
 failed search proves nothing.
 """
@@ -216,9 +218,11 @@ class _Pass:
         """Add the adjoint of d eval(term) applied to upstream into grads.
 
         With upstream = d f / d conj(eval(term)), this adds d f / d conj(X)
-        (Wirtinger) to grads[X] for each generator X.  A call atom pulls
-        its adjoint back through its taped value and recurses into its
-        argument's tape.
+        (Wirtinger) to grads[X] for each generator X.  Upstream may stack
+        several adjoints on leading axes that broadcast against the rows;
+        grads then carries those axes too.  A call atom pulls its adjoint
+        back through its taped value and recurses into its argument's
+        tape.
         """
         up_h = None
         for c, atoms, mats, pre in tape:
@@ -315,6 +319,8 @@ def _start(caps: list[float], d: int, seed: int, idx: int) -> np.ndarray:
 # -- reverse-mode gradient ------------------------------------------------------
 
 DD_STEP = 1e-6  # eigenvalue gap below which a divided difference is a derivative
+POLISH_ITERS = 300  # stacked Levenberg-Marquardt iterations of the polish
+LM_DAMPING = 1e-3  # starting Levenberg-Marquardt damping of every row
 
 
 def _divided_differences(g, vals: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -339,15 +345,16 @@ def _divided_differences(g, vals: np.ndarray, fv: np.ndarray) -> np.ndarray:
 
 
 def _frechet_exp(m: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Frechet derivative L_exp(m, e) on a stack: the upper-right block of
-    expm([[m, e], [0, m]])."""
+    """Frechet derivative L_exp(m, e) on stacks that broadcast against each
+    other: the upper-right block of expm([[m, e], [0, m]])."""
     from scipy.linalg import expm
-    rows, d = m.shape[0], m.shape[-1]
-    block = np.zeros((rows, 2 * d, 2 * d), dtype=complex)
-    block[:, :d, :d] = m
-    block[:, d:, d:] = m
-    block[:, :d, d:] = e
-    return expm(block)[:, :d, d:]
+    d = m.shape[-1]
+    lead = np.broadcast_shapes(m.shape[:-2], e.shape[:-2])
+    block = np.zeros(lead + (2 * d, 2 * d), dtype=complex)
+    block[..., :d, :d] = m
+    block[..., d:, d:] = m
+    block[..., :d, d:] = e
+    return expm(block)[..., :d, d:]
 
 
 def _entire_pullback(sym: str, a: np.ndarray, bar: np.ndarray) -> np.ndarray:
@@ -372,7 +379,8 @@ class _Objective:
     Maps a stack of parameter rows (R, n) to the objective of each row
     and its gradient: squared relation residuals plus the penalized cap
     excesses, minus the weighted square of the reward term's norm.  The
-    polish residual and the final scores run the same compiled plans.
+    polish residuals with their Jacobian (`lsq`) and the final scores
+    run the same compiled plans.
     """
 
     def __init__(self, p: Presentation, d: int, registry,
@@ -417,46 +425,56 @@ class _Objective:
             fwd.backward(qtape, qmat, rgr)
             for s in self.syms:
                 grads[s] -= reward_w * rgr[s]
-        flat = []
-        for s in self.syms:
-            g = grads[s].reshape(rows, -1)
-            flat.append(2 * g.real)
-            flat.append(2 * g.imag)
-        return val, np.concatenate(flat, axis=1)
+        return val, _flatten(grads, self.syms)
 
-    def _forward(self, theta: np.ndarray, diag: EvalDiag | None = None):
-        """One pass over a stack of rows: the pass, each relation's value,
-        and each generator's cap excess per row.
+    def lsq(self, theta: np.ndarray):
+        """Residuals (R, m) and their Jacobians (R, m, n) of a stack of rows
+        (R, n), from one pass: every relation's entries (real parts, then
+        imaginary parts), then each generator's cap excess weighted by
+        the square root of the penalty.
 
-        The top singular value comes from an SVD without singular
-        vectors: stacked or alone, that call gives the same bits, which
-        the full SVD of `__call__` does not."""
-        fwd = _Pass(_assign(theta, self.syms, self.d), self.d, len(theta),
-                    diag)
-        mats = [fwd.eval(plan)[0] for plan in self.bodies]
-        excess = [[max(0.0, top - cap) for top in np.linalg.svd(
-            fwd.assign[s], compute_uv=False)[:, 0].tolist()]
-            for s, cap in zip(self.syms, self.caps)]
-        return fwd, mats, excess
-
-    def residuals(self, theta: np.ndarray) -> np.ndarray:
-        """Residual vector of one parameter row, for the least-squares
-        polish: every relation's entries, then each weighted cap excess."""
-        _, mats, excess = self._forward(theta[None])
-        parts = []
-        for m in mats:
-            parts.append(m[0].real.ravel())
-            parts.append(m[0].imag.ravel())
+        A relation's rows take one backward pass whose upstream stacks
+        the unit adjoints of its entries on a leading axis: E/2 for a
+        real part, iE/2 for an imaginary part.  A cap row is the weighted
+        derivative of the top singular value, u1 v1^H, where the cap is
+        exceeded and zero elsewhere."""
+        rows, d = len(theta), self.d
+        fwd = _Pass(_assign(theta, self.syms, d), d, rows)
+        units = np.eye(d * d).reshape(d * d, 1, d, d) / 2
+        upstream = np.concatenate([units, 1j * units])
+        res, jac = [], []
+        for plan in self.bodies:
+            m, tape = fwd.eval(plan)
+            res += [m.real.reshape(rows, -1), m.imag.reshape(rows, -1)]
+            grads = {s: np.zeros((2 * d * d, rows, d, d), dtype=complex)
+                     for s in self.syms}
+            fwd.backward(tape, upstream, grads)
+            jac.append(_flatten(grads, self.syms).swapaxes(0, 1))
         w = SearchConfig.penalty ** 0.5
-        parts.append(np.array([w * exc[0] for exc in excess]))
-        return np.concatenate(parts)
+        zero = np.zeros((rows, d, d), dtype=complex)
+        for s, cap in zip(self.syms, self.caps):
+            u, sv, vh = np.linalg.svd(fwd.assign[s])
+            exc = np.maximum(0.0, sv[:, 0] - cap)
+            res.append(w * exc[:, None])
+            grads = dict.fromkeys(self.syms, zero)
+            grads[s] = np.where((exc > 0.0)[:, None, None],
+                                w / 2 * u[:, :, :1] * vh[:, None, 0], 0.0)
+            jac.append(_flatten(grads, self.syms)[:, None])
+        return np.concatenate(res, axis=1), np.concatenate(jac, axis=1)
 
     def score(self, theta: np.ndarray, diag: EvalDiag) -> list[tuple]:
         """Score a stack of rows in one pass: per row, each relation's
         residual (Frobenius norm), the largest cap excess, and the reward
-        term's operator norm, None without a reward term."""
-        fwd, mats, excess = self._forward(theta, diag)
-        norms = [_frobenius(m) for m in mats]
+        term's operator norm, None without a reward term.
+
+        The top singular value comes from an SVD without singular
+        vectors, as `op_norm` computes it."""
+        fwd = _Pass(_assign(theta, self.syms, self.d), self.d, len(theta),
+                    diag)
+        norms = [_frobenius(fwd.eval(plan)[0]) for plan in self.bodies]
+        excess = [[max(0.0, top - cap) for top in np.linalg.svd(
+            fwd.assign[s], compute_uv=False)[:, 0].tolist()]
+            for s, cap in zip(self.syms, self.caps)]
         values = [None] * len(theta)
         if self.reward is not None:
             values = np.linalg.svd(fwd.eval(self.reward)[0],
@@ -464,6 +482,16 @@ class _Objective:
         return [([n[i] for n in norms],
                  max((e[i] for e in excess), default=0.0), values[i])
                 for i in range(len(theta))]
+
+
+def _flatten(grads: dict, syms: list[str]) -> np.ndarray:
+    """Real gradient of Wirtinger adjoints (..., d, d) per symbol, in the
+    parameter layout of `_assign`: (..., n)."""
+    parts = []
+    for s in syms:
+        g = grads[s].reshape(grads[s].shape[:-2] + (-1,))
+        parts += [2 * g.real, 2 * g.imag]
+    return np.concatenate(parts, axis=-1)
 
 
 def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
@@ -484,6 +512,51 @@ def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
         vh = v / (1 - b2 ** k)
         theta = theta - lr * mh / (np.sqrt(vh) + eps)
     return best
+
+
+def _polish(objective: _Objective, theta: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt on `objective.lsq`, every row of the stack at
+    once, each with its own damping.
+
+    A step solves (J^T J + lam tr(J^T J)/n I) delta = -J^T f.  A row
+    takes its trial point when the cost falls (then lam / 3) and keeps
+    its point otherwise (then lam * 4).  A row stops on a step below
+    1e-15 of its norm, a relative cost drop below 1e-15, a zero cost, or
+    a damping above 1e16."""
+    theta = theta.copy()
+    n = theta.shape[1]
+    f, jac = objective.lsq(theta)
+    cost = np.sum(f * f, axis=1)
+    lam = np.full(len(theta), LM_DAMPING)
+    active = cost > 0.0
+    for _ in range(POLISH_ITERS):
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        j = jac[idx]
+        jt = j.swapaxes(1, 2)
+        a = jt @ j
+        # a flat Jacobian takes the scale 1, so its zero step stops the row
+        scale = np.trace(a, axis1=1, axis2=2) / n
+        mu = lam[idx] * np.where(scale > 0.0, scale, 1.0)
+        step = np.linalg.solve(a + mu[:, None, None] * np.eye(n),
+                               -(jt @ f[idx][:, :, None]))[:, :, 0]
+        x_norm = np.linalg.norm(theta[idx], axis=1)
+        trial = theta[idx] + step
+        ft, jac_t = objective.lsq(trial)
+        ct = np.sum(ft * ft, axis=1)
+        ok = ct < cost[idx]
+        stalled = ok & (cost[idx] - ct <= 1e-15 * cost[idx])
+        took = idx[ok]
+        theta[took], f[took], jac[took], cost[took] = (
+            trial[ok], ft[ok], jac_t[ok], ct[ok])
+        lam[idx] = np.where(ok, np.maximum(lam[idx] / 3, 1e-12),
+                            lam[idx] * 4)
+        active[idx[stalled | (cost[idx] == 0.0)
+                   | (lam[idx] > 1e16)
+                   | (np.linalg.norm(step, axis=1)
+                      <= 1e-15 * (1e-15 + x_norm))]] = False
+    return theta
 
 
 @dataclass
@@ -519,8 +592,8 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
     """Penalized random-restart search; deterministic given cfg.seed.
 
     Each restart draws its start point from its own (seed, index) stream.
-    One Adam runs over the stack of all start points, then each restart
-    gets its own least_squares polish, and one pass scores them all.
+    One Adam runs over the stack of all start points, one
+    Levenberg-Marquardt polishes the stack, and one pass scores it.
 
     Raises ValueError unless d >= 1 and cfg.restarts >= 1, so that
     `refute_redundancy` and `norm_lower_bound` never report a search that
@@ -534,11 +607,8 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
     theta = np.stack([_start(objective.caps, d, cfg.seed, idx)
                       for idx in range(cfg.restarts)])
     if syms:
-        from scipy.optimize import least_squares
-        theta = _adam(objective, theta, cfg.max_iters, cfg.lr)
-        theta = np.stack([least_squares(
-            objective.residuals, th, method="trf", xtol=1e-15, ftol=1e-15,
-            gtol=1e-15, max_nfev=300 * len(th)).x for th in theta])
+        theta = _polish(objective,
+                        _adam(objective, theta, cfg.max_iters, cfg.lr))
     diag = EvalDiag()
     outcomes = []
     for idx, (th, (res, excess, value)) in enumerate(

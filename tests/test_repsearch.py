@@ -1,10 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cstarpres import repsearch
+from cstarpres.cli import REGISTRY_ENV, main
 from cstarpres.exact import XS
 from cstarpres.parser import parse_term
 from cstarpres.presentation import (Presentation, Relation,
@@ -141,6 +143,19 @@ def _random_term(rng, max_deg):
     return acc
 
 
+# relation bodies through every kind of call, each beside "b : x - x* x"
+CALL_BODIES = [
+    "x y - y x - 1",
+    "exp(x) - y",
+    "sin(x y) - y*",
+    "cos(x + y*) x - x",
+    "sqrt(x* x) - y",
+    "inv_lb(x* x + 1, 1/2) - y",
+    "f_param(1/2 x* x, 2) - y",
+    "p(x* x - p(x + x*)) - y",
+]
+
+
 def _fd_grad(fun, theta, h=1e-6):
     """Central differences of a scalar function of a real vector."""
     g = np.zeros_like(theta)
@@ -223,16 +238,7 @@ def test_gradient_matches_finite_differences(reg, corpus):
         _assert_gradient_matches_fd(p, q, 2, reg, seed=i)
 
 
-@pytest.mark.parametrize("body", [
-    "x y - y x - 1",
-    "exp(x) - y",
-    "sin(x y) - y*",
-    "cos(x + y*) x - x",
-    "sqrt(x* x) - y",
-    "inv_lb(x* x + 1, 1/2) - y",
-    "f_param(1/2 x* x, 2) - y",
-    "p(x* x - p(x + x*)) - y",
-])
+@pytest.mark.parametrize("body", CALL_BODIES)
 def test_gradient_through_calls_matches_finite_differences(reg, body):
     p = parse_presentation(
         "flavor: unital\ngenerators:\n  x : 1\n  y : 2\nrelations:\n"
@@ -255,6 +261,144 @@ def test_gradient_through_non_hermitian_call_argument(reg):
         Relation("b", call_nf("sqrt", x + y * y) * x - x)))
     _assert_gradient_matches_fd(p, call_nf("inv_lb", x * y, (XS(1),)), 3,
                                 reg, seed=5)
+
+
+def _residuals(p, theta, d, reg):
+    """The polish residual of one parameter row, evaluated without any
+    gradient code: each relation's real then imaginary entries, then
+    each generator's cap excess weighted by the square root of the
+    penalty."""
+    rep = repsearch._unpack(theta, p.gens.names(), d, p.flavor)
+    parts = []
+    for r in p.relations:
+        m = eval_term(rep, r.body, reg, strict_herm=False)
+        parts += [m.real.ravel(), m.imag.ravel()]
+    w = SearchConfig.penalty ** 0.5
+    parts.append([w * max(0.0, op_norm(rep.assign[s]) - float(p.gens.norm(s)))
+                  for s in p.gens.names()])
+    return np.concatenate(parts)
+
+
+def _fd_jacobian(fun, theta, h=1e-6):
+    """Central differences of a vector function of a real vector."""
+    cols = []
+    for i in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[i] = h
+        cols.append((fun(theta + step) - fun(theta - step)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def _assert_jacobian_matches_fd(p, d, reg, seed, points=2):
+    """lsq's residuals equal `_residuals`, and its Jacobian matches
+    central differences, at points where some cap is exceeded and at
+    points inside every cap, each away from kinks."""
+    rng = np.random.default_rng(seed)
+    syms = p.gens.names()
+    caps = [float(p.gens.norm(s)) for s in syms]
+    objective = repsearch._Objective(p, d, reg)
+    for exceeded in (True, False):
+        checked = 0
+        for _ in range(50 * points):
+            theta = rng.standard_normal(2 * len(syms) * d * d) * 0.6
+            rep = repsearch._unpack(theta, syms, d, p.flavor)
+            if not exceeded:  # shrink into the caps, the largest to 0.8
+                theta *= 0.8 / max(op_norm(rep.assign[s]) / c
+                                   for s, c in zip(syms, caps))
+                rep = repsearch._unpack(theta, syms, d, p.flavor)
+            gaps = [op_norm(rep.assign[s]) - c for s, c in zip(syms, caps)]
+            if (max(gaps) > 0) != exceeded or min(map(abs, gaps)) < 1e-3:
+                continue
+            if not all(_kink_free(rep, r.body, reg) for r in p.relations):
+                continue
+            f, jac = objective.lsq(theta[None])
+            want = _residuals(p, theta, d, reg)
+            assert np.allclose(f[0], want, rtol=1e-12, atol=1e-12)
+            fd = _fd_jacobian(lambda t: _residuals(p, t, d, reg), theta)
+            denom = max(np.linalg.norm(fd), 1e-12)
+            assert np.linalg.norm(jac[0] - fd) / denom < 1e-5
+            checked += 1
+            if checked == points:
+                break
+        else:
+            pytest.fail("no generic point found (caps exceeded: %s)"
+                        % exceeded)
+
+
+def test_jacobian_matches_finite_differences(reg, corpus):
+    paths = sorted(corpus.glob("*.pres"))
+    assert len(paths) >= 9
+    for i, path in enumerate(paths):
+        _assert_jacobian_matches_fd(load_presentation(str(path), reg), 2,
+                                    reg, seed=i)
+
+
+@pytest.mark.parametrize("body", CALL_BODIES)
+def test_jacobian_through_calls_matches_finite_differences(reg, body):
+    # the Jacobian stacks its upstream adjoints on a leading axis, which
+    # every call's pullback, entire ones included, must broadcast over
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\n  y : 2\nrelations:\n"
+        "  a : %s\n  b : x - x* x\n" % body, reg)
+    _assert_jacobian_matches_fd(p, 3, reg, seed=11)
+
+
+def test_polished_rows_equal_lone_rows(reg, corpus):
+    # restart 0 of a stack of 4 is polished bit for bit as it is alone,
+    # though the other rows accept, reject and stop at other iterations
+    for path in sorted(corpus.glob("*.pres")):
+        p = load_presentation(str(path), reg)
+        objective = repsearch._Objective(p, 2, reg)
+        theta = np.stack([repsearch._start(objective.caps, 2, 0, idx)
+                          for idx in range(4)])
+        stacked = repsearch._polish(objective, theta)
+        alone = repsearch._polish(objective, theta[:1])
+        assert np.array_equal(stacked[0], alone[0]), path.name
+
+
+def test_polish_stops_on_a_flat_jacobian(reg):
+    # the relation 1 = 0 has a residual but no gradient inside the cap
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\nrelations:\n  one : 1\n",
+        reg)
+    res = search_feasible(p, 2, SearchConfig(restarts=2, max_iters=5), reg)
+    assert [o.residual for o in res.outcomes] == [2 ** 0.5] * 2
+
+
+def test_search_makes_no_scipy_polish(reg, corpus, monkeypatch):
+    import scipy.optimize
+
+    def no_least_squares(*args, **kwargs):
+        raise AssertionError("least_squares called during a search")
+    monkeypatch.setattr(scipy.optimize, "least_squares", no_least_squares)
+    p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
+    res = search_feasible(p, 2, SearchConfig(restarts=2, max_iters=40), reg,
+                          reward_term=gen_nf("x"))
+    assert res.feasible
+
+
+def test_polish_does_not_stall_at_dim3(reg, corpus):
+    # the per-restart least_squares polish took 15 s here, ending 5 of 8
+    # restarts at its evaluation budget
+    p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
+    start = time.perf_counter()
+    res = search_feasible(p, 3, SearchConfig(seed=2), reg,
+                          reward_term=gen_nf("x"))
+    assert time.perf_counter() - start < 5.0
+    assert len(res.feasible) >= 3
+
+
+def test_refute_without_sa_r_does_not_stall(reg, corpus, tmp_path,
+                                             monkeypatch):
+    # two_projections without sa_r: the per-restart polish took 25 s
+    text = (corpus / "two_projections.pres").read_text()
+    lines = [ln for ln in text.splitlines() if "sa_r" not in ln]
+    (tmp_path / "tp_no_sa_r.pres").write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(REGISTRY_ENV, raising=False)
+    start = time.perf_counter()
+    main(["refute", "-p", "tp_no_sa_r.pres", "r* - r", "--manifest", ""])
+    assert time.perf_counter() - start < 5.0
 
 
 def test_search_idempotent_dim2(reg, corpus):
