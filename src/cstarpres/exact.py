@@ -7,13 +7,17 @@ Two kinds of numbers live here:
   normal forms are allowed to carry.
 
 * ``XS`` -- quadratic surds ``a + b*sqrt(r)`` with rational a, b and an
-  integer radicand r.  Norm values and spectral-interval endpoints are
-  XS values.  XS is closed under negation, multiplication and division;
-  addition is exact only when the radicands agree, and the interval
-  layer rounds outward when it does not.
+  integer radicand r, stored as an integer quadruple
+  ``(na + nb*sqrt(r)) / den`` in lowest terms.  Norm values and
+  spectral-interval endpoints are XS values.  XS is closed under
+  negation and inversion; sums and products are exact when the
+  radicands agree or one operand is rational, and the interval layer
+  rounds outward when they are not.
 
-``Coeff`` arithmetic is integer arithmetic; ``XS`` is built on
-``fractions.Fraction``.  No floats enter any decision made by the checker.
+Both keep integers over one common denominator, so their arithmetic is
+integer arithmetic; ``Fraction`` appears only where exact parts and
+rational bounds are handed out.  No floats enter any decision made by
+the checker.
 """
 
 from __future__ import annotations
@@ -77,32 +81,38 @@ def sqrt_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
 
 
 class XS:
-    """Exact real scalar of the form a + b*sqrt(r).
+    """Exact real scalar (na + nb*sqrt(r)) / den on integers.
 
-    r is an integer >= 2 whenever b != 0, and 0 otherwise.  r may keep a
-    square factor (see `_square_split`), so ``==`` is structural and
-    ``cmp`` decides value.
+    Normalised so that den > 0, gcd(na, nb, den) = 1, and r = 0 when
+    nb = 0; otherwise r >= 2 is the radicand as `_square_split` leaves it.
+    So ``==`` on the quadruple is ``==`` on (a, b, r), where ``a`` and
+    ``b`` are the exact parts as Fractions.  r may keep a square factor
+    (see `_square_split`), so ``==`` is structural and ``cmp`` decides
+    value.  Only the public constructor and the square roots (`sqrt_of`,
+    and the product of two pure surds) split a radicand; every other
+    result keeps the radicand of an operand.
     """
 
-    __slots__ = ("a", "b", "r")
+    __slots__ = ("na", "nb", "den", "r")
 
     def __init__(self, a: Rat, b: Rat = 0, r: int = 0):
-        # Fraction(a) copies a Fraction; the bound engine builds many XS
-        if type(a) is not Fraction:
+        if not isinstance(a, (int, Fraction)):
             a = Fraction(a)
+        if not isinstance(b, (int, Fraction)):
+            b = Fraction(b)
         if b != 0 and r > 0:
-            m, d = _square_split(r)
-            if d == 1:
-                a += b * m
-                b = _FZERO
-                r = 0
-            else:
-                b = Fraction(b) * m
-                r = d
+            m, r = _square_split(r)
+            b *= m
+            if r == 1:
+                a, b, r = a + b, 0, 0
         else:
-            b = _FZERO
-            r = 0
-        self.a, self.b, self.r = a, b, r
+            b, r = 0, 0
+        # both parts are in lowest terms (an int is n/1), so over
+        # den = lcm(q, t) the triple is already coprime
+        q, t = a.denominator, b.denominator
+        den = q * t // gcd(q, t)
+        self.na, self.nb, self.den, self.r = \
+            a.numerator * (den // q), b.numerator * (den // t), den, r
 
     # -- constructors -------------------------------------------------
 
@@ -112,41 +122,46 @@ class XS:
         q = Fraction(q)
         if q < 0:
             raise ValueError("sqrt of negative rational")
-        if q == 0:
-            return XS(0)
-        # sqrt(p/d) = sqrt(p*d)/d
-        return XS(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+        return _sqrt_ratio(q.numerator, q.denominator)
 
-    # -- predicates ---------------------------------------------------
+    # -- parts and predicates -----------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nb, self.den)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.nb == 0
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self.nb != 0:
             raise ValueError("not a rational value: %s" % self)
-        return self.a
+        return Fraction(self.na, self.den)
 
     def is_norm_value(self) -> bool:
         """Norm values are q or sqrt(q): rational, or pure-surd with no
         rational part."""
-        return self.b == 0 or self.a == 0
+        return self.nb == 0 or self.na == 0
 
     # -- arithmetic ---------------------------------------------------
 
     def __neg__(self) -> "XS":
-        return XS(-self.a, -self.b, self.r)
+        return _xs(-self.na, -self.nb, self.den, self.r)
 
     def try_add(self, other: "XS") -> "XS | None":
         """Exact sum, or None when the radicands are incompatible."""
-        if self.b == 0:
-            return XS(self.a + other.a, other.b, other.r)
-        if other.b == 0:
-            return XS(self.a + other.a, self.b, self.r)
-        if self.r == other.r:
-            return XS(self.a + other.a, self.b + other.b, self.r)
-        return None
+        a, b, d, r = self.na, self.nb, self.den, self.r
+        c, e, f, s = other.na, other.nb, other.den, other.r
+        if b != 0 and e != 0 and r != s:
+            return None
+        if d != f:
+            a, b, c, e, d = a * f, b * f, c * d, e * d, d * f
+        return _xs(a + c, b + e, d, r or s)
 
     def __add__(self, other) -> "XS":
         other = _coerce(other)
@@ -158,21 +173,26 @@ class XS:
     def __sub__(self, other) -> "XS":
         return self + (-_coerce(other))
 
+    def try_mul(self, other: "XS") -> "XS | None":
+        """Exact product, or None when it is not an XS value."""
+        a, b, d, r = self.na, self.nb, self.den, self.r
+        c, e, f, s = other.na, other.nb, other.den, other.r
+        if b == 0:
+            return _xs(a * c, a * e, d * f, s)
+        if e == 0:
+            return _xs(c * a, c * b, d * f, r)
+        if r == s:
+            return _xs(a * c + b * e * r, a * e + b * c, d * f, r)
+        # sqrt(r)*sqrt(s) = sqrt(rs): exact only when both rational parts vanish
+        if a == 0 and c == 0:
+            return _surd(b * e, d * f, r * s)
+        return None
+
     def __mul__(self, other) -> "XS":
-        other = _coerce(other)
-        if self.b == 0 and other.b == 0:
-            return XS(self.a * other.a)
-        if self.b == 0:
-            return XS(self.a * other.a, self.a * other.b, other.r)
-        if other.b == 0:
-            return XS(other.a * self.a, other.a * self.b, self.r)
-        if self.r == other.r:
-            return XS(self.a * other.a + self.b * other.b * self.r,
-                      self.a * other.b + self.b * other.a, self.r)
-        # sqrt(r)*sqrt(s) = sqrt(rs): exact only when one rational part vanishes
-        if self.a == 0 and other.a == 0:
-            return XS(0, self.b * other.b, self.r * other.r)
-        raise ValueError("inexact surd product; round outward instead")
+        p = self.try_mul(_coerce(other))
+        if p is None:
+            raise ValueError("inexact surd product; round outward instead")
+        return p
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -181,14 +201,14 @@ class XS:
         return _coerce(other) - self
 
     def inverse(self) -> "XS":
-        if self.b == 0:
-            if self.a == 0:
-                raise ZeroDivisionError
-            return XS(1 / self.a)
-        den = self.a * self.a - self.b * self.b * self.r
-        if den == 0:
+        # 1 / ((a + b sqrt(r)) / d) = d (a - b sqrt(r)) / (a^2 - b^2 r)
+        a, b, d, r = self.na, self.nb, self.den, self.r
+        n = a * a - b * b * r
+        if n == 0:
             raise ZeroDivisionError
-        return XS(self.a / den, -self.b / den, self.r)
+        if n < 0:
+            return _xs(-d * a, d * b, -n, r)
+        return _xs(d * a, -d * b, n, r)
 
     def __truediv__(self, other) -> "XS":
         return self * _coerce(other).inverse()
@@ -196,32 +216,29 @@ class XS:
     # -- order --------------------------------------------------------
 
     def sign(self) -> int:
-        a, b, r = self.a, self.b, self.r
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        # sign of a + b*sqrt(r), both parts nonzero: compare a^2 vs b^2 r
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        return sa if a * a > b * b * r else sb
+        return _sign(self.na, self.nb, self.r)
 
     def cmp(self, other) -> int:
         other = _coerce(other)
-        d = self.try_add(-other)
-        if d is not None:
-            return d.sign()
-        # distinct radicands, both surd parts nonzero: the difference is
-        # u + w sqrt(r2) with u = a1 - a2 + b1 sqrt(r1) exact; when u and
-        # w sqrt(r2) have opposite signs, the larger square wins
-        u = XS(self.a - other.a, self.b, self.r)
-        w = -other.b
-        su, sw = u.sign(), (w > 0) - (w < 0)
+        a, b, d, r = self.na, self.nb, self.den, self.r
+        c, e, f, s = other.na, other.nb, other.den, other.r
+        if d != f:
+            a, b, c, e = a * f, b * f, c * d, e * d
+        # (self - other) * d * f = p + b sqrt(r) - e sqrt(s)
+        p = a - c
+        if e == 0:
+            return _sign(p, b, r)
+        if b == 0:
+            return _sign(p, -e, s)
+        if r == s:
+            return _sign(p, b - e, r)
+        # distinct radicands, both surd parts nonzero: u = p + b sqrt(r)
+        # is exact; when u and -e sqrt(s) have opposite signs, the larger
+        # square wins
+        su, sw = _sign(p, b, r), (e < 0) - (e > 0)
         if su == sw or su == 0:
             return sw
-        return su * (u * u).cmp(w * w * other.r)
+        return su * _sign(p * p + b * b * r - e * e * s, 2 * p * b, r)
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -237,13 +254,14 @@ class XS:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = XS(other)
+            other = _coerce(other)
         if not isinstance(other, XS):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.r == other.r
+        return (self.na == other.na and self.nb == other.nb
+                and self.den == other.den and self.r == other.r)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.r))
+        return hash((self.na, self.nb, self.den, self.r))
 
     def __abs__(self) -> "XS":
         return -self if self.sign() < 0 else self
@@ -252,12 +270,18 @@ class XS:
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Directed rational bounds lo <= self <= hi."""
-        if self.b == 0:
-            return self.a, self.a
-        slo, shi = sqrt_bounds(Fraction(self.r))
-        if self.b > 0:
-            return self.a + self.b * slo, self.a + self.b * shi
-        return self.a + self.b * shi, self.a + self.b * slo
+        a, b, d, r = self.na, self.nb, self.den, self.r
+        if b == 0:
+            q = Fraction(a, d)
+            return q, q
+        # r is not a square, so sqrt(r) lies strictly between lo / 2^BITS
+        # and hi / 2^BITS
+        lo = isqrt(r << (2 * BITS))
+        hi = lo + 1
+        if b < 0:
+            lo, hi = hi, lo
+        a, d = a << BITS, d << BITS
+        return Fraction(a + b * lo, d), Fraction(a + b * hi, d)
 
     def lower(self) -> Fraction:
         return self.bounds()[0]
@@ -269,42 +293,90 @@ class XS:
         """Sound bound for sqrt(self) (self >= 0), exact when possible."""
         if self.sign() < 0:
             raise ValueError("sqrt of negative value")
-        if self.b == 0:
-            return XS.sqrt_of(self.a)
-        q = self.upper() if up else max(self.lower(), Fraction(0))
+        if self.nb == 0:
+            return _sqrt_ratio(self.na, self.den)
+        q = self.upper() if up else max(self.lower(), _FZERO)
         lo, hi = sqrt_bounds(q)
-        return XS(hi if up else lo)
+        return _rational(hi if up else lo)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * float(self.r) ** 0.5
+        # int / int rounds correctly, as float(Fraction) does
+        return self.na / self.den + self.nb / self.den * float(self.r) ** 0.5
 
     def __repr__(self):
         return "XS(%s)" % self
 
     def __str__(self):
-        if self.b == 0:
+        if self.nb == 0:
             return str(self.a)
         parts = []
-        if self.a != 0:
+        if self.na != 0:
             parts.append(str(self.a))
         surd = "sqrt(%d)" % self.r
-        if self.b == 1:
+        b = self.b
+        if b == 1:
             parts.append(surd)
-        elif self.b == -1:
+        elif b == -1:
             parts.append("-" + surd)
         else:
-            parts.append("%s*%s" % (self.b, surd))
+            parts.append("%s*%s" % (b, surd))
         out = parts[0]
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
         return out
 
 
+def _xs(na: int, nb: int, den: int, r: int) -> XS:
+    """The XS (na + nb*sqrt(r)) / den for integers with den > 0 and r a
+    radicand as `_square_split` leaves it."""
+    x = object.__new__(XS)
+    if nb == 0:
+        r = 0
+    g = gcd(na, nb, den)
+    if g == 1:
+        x.na, x.nb, x.den, x.r = na, nb, den, r
+    else:
+        x.na, x.nb, x.den, x.r = na // g, nb // g, den // g, r
+    return x
+
+
+def _surd(n: int, d: int, r: int) -> XS:
+    """The XS n*sqrt(r) / d for integers n, d > 0 and r >= 1."""
+    m, r = _square_split(r)
+    if r == 1:
+        return _xs(n * m, 0, d, 0)
+    return _xs(0, n * m, d, r)
+
+
+def _sqrt_ratio(p: int, d: int) -> XS:
+    """sqrt(p / d) for integers p >= 0 and d > 0: sqrt(p*d) / d."""
+    if p == 0:
+        return _xs(0, 0, 1, 0)
+    return _surd(1, d, p * d)
+
+
+def _rational(q: Rat) -> XS:
+    return _xs(q.numerator, 0, q.denominator, 0)
+
+
+def _sign(p: int, q: int, r: int) -> int:
+    """Sign of p + q*sqrt(r) for integers p, q and r >= 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return (q > 0) - (q < 0)
+    sp = 1 if p > 0 else -1
+    if (q > 0) == (p > 0):
+        return sp
+    # opposite signs: compare p^2 with q^2 r
+    return sp if p * p > q * q * r else -sp
+
+
 def _coerce(v) -> XS:
-    if isinstance(v, XS):
+    if type(v) is XS:
         return v
     if isinstance(v, (int, Fraction)):
-        return XS(v)
+        return _rational(v)
     raise TypeError("cannot coerce %r to XS" % (v,))
 
 
@@ -315,17 +387,18 @@ def xs_add_outward(x: XS, y: XS, up: bool) -> XS:
         return s
     xb = x.upper() if up else x.lower()
     yb = y.upper() if up else y.lower()
-    return XS(xb + yb)
+    return _rational(xb + yb)
 
 
 def xs_mul_outward(x: XS, y: XS, up: bool) -> XS:
-    try:
-        return x * y
-    except ValueError:
-        xl, xh = x.bounds()
-        yl, yh = y.bounds()
-        prods = [xl * yl, xl * yh, xh * yl, xh * yh]
-        return XS(max(prods) if up else min(prods))
+    """x * y, exact when representable, otherwise rounded in direction `up`."""
+    p = x.try_mul(y)
+    if p is not None:
+        return p
+    xl, xh = x.bounds()
+    yl, yh = y.bounds()
+    prods = [xl * yl, xl * yh, xh * yl, xh * yh]
+    return _rational(max(prods) if up else min(prods))
 
 
 class Coeff:

@@ -632,13 +632,18 @@ def refute_redundancy(p: Presentation, q: NF, d: int, cfg: SearchConfig,
                       registry) -> RestartOutcome | None:
     """Search for a near-representation where q evaluates far from zero.
 
-    A witness has every relation residual below tol_feas, caps respected,
-    and ||eval(q)|| (its `value`) above 10 * tol_feas: then q is not in
-    the closed ideal generated by the relations, so citing it as
-    redundant is refuted.  Returning None proves nothing.
+    A witness has every relation residual below tol_feas, caps respected
+    up to tol_cap, and ||eval(q)|| (its `value`) above the floor
+    10 * max(tol_feas, sqrt(tol_cap)): then q is not in the closed ideal
+    generated by the relations, so citing it as redundant is refuted.
+    The floor takes sqrt(tol_cap) because a cap excess of eps alone can
+    move a consequence that far from zero: an idempotent of norm at most
+    1 + eps is within about sqrt(2 eps) of self-adjoint.  Returning None
+    proves nothing.
     """
     result = search_feasible(p, d, cfg, registry, reward_term=q)
-    return _best_above(result, WITNESS_FACTOR * cfg.tol_feas)
+    return _best_above(result, WITNESS_FACTOR * max(cfg.tol_feas,
+                                                    cfg.tol_cap ** 0.5))
 
 
 def norm_lower_bound(p: Presentation, t: NF, d: int, cfg: SearchConfig,

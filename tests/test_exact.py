@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 from math import gcd
@@ -202,3 +203,179 @@ def test_coeff_matches_fraction_pair_reference():
         _check_coeff(cx + 3, x[0] + 3, x[1])
         _check_coeff(x[0] - cx, 0, -x[1])
         _check_coeff(2 * cx, 2 * x[0], 2 * x[1])
+
+
+# -- XS against a reference on (Fraction a, Fraction b, r) ---------------------
+
+# radicand -> (m, d) with r = m*m*d as XS stores it: squares of primes up to
+# 97 come out, 101^2 * 103 keeps its square factor
+_SPLIT = {2: (1, 2), 3: (1, 3), 6: (1, 6), 8: (2, 2), 12: (2, 3),
+          18: (3, 2), 50: (5, 2), 103: (1, 103), 1050703: (1, 1050703)}
+# the product of two distinct stored radicands, split the same way
+_PRODUCT_SPLIT = {
+    (2, 3): (1, 6), (2, 6): (2, 3), (3, 6): (3, 2), (2, 103): (1, 206),
+    (3, 103): (1, 309), (6, 103): (1, 618), (2, 1050703): (1, 2101406),
+    (3, 1050703): (1, 3152109), (6, 1050703): (1, 6304218),
+    (103, 1050703): (10403, 1)}  # 103 * 101^2 * 103 is a square
+
+
+def _ref_norm(a, b, r):
+    return (a, Fraction(0), 0) if b == 0 else (a, b, r)
+
+
+def _ref_xs(a, b, r):
+    """The (a, b, r) that XS(a, b, r) stores."""
+    if b == 0 or r == 0:
+        return _ref_norm(Fraction(a), 0, 0)
+    m, d = _SPLIT[r]
+    return _ref_norm(Fraction(a), Fraction(b) * m, d)
+
+
+def _ref_add(x, y):
+    (a, b, r), (c, e, s) = x, y
+    if b != 0 and e != 0 and r != s:
+        return None
+    return _ref_norm(a + c, b + e, r or s)
+
+
+def _ref_mul(x, y):
+    (a, b, r), (c, e, s) = x, y
+    if b == 0 or e == 0 or r == s:
+        return _ref_norm(a * c + b * e * (r or s), a * e + b * c, r or s)
+    if a == 0 and c == 0:
+        m, d = _PRODUCT_SPLIT[min(r, s), max(r, s)]
+        if d == 1:
+            return _ref_norm(b * e * m, 0, 0)
+        return _ref_norm(Fraction(0), b * e * m, d)
+    return None
+
+
+def _ref_inverse(x):
+    a, b, r = x
+    n = a * a - b * b * r
+    return None if n == 0 else _ref_norm(a / n, -b / n, r)
+
+
+def _ref_value(x):
+    a, b, r = x
+    dec = decimal.Decimal
+    return (dec(a.numerator) / dec(a.denominator)
+            + dec(b.numerator) / dec(b.denominator) * dec(r).sqrt())
+
+
+def _ref_sign(v):
+    # a nonzero value here is far above 1e-60 in size
+    return 0 if abs(v) < decimal.Decimal(10) ** -60 else (1 if v > 0 else -1)
+
+
+def _ref_bounds(x):
+    a, b, r = x
+    if b == 0:
+        return a, a
+    slo, shi = sqrt_bounds(Fraction(r))
+    lo, hi = a + b * slo, a + b * shi
+    return (lo, hi) if b > 0 else (hi, lo)
+
+
+def _ref_xs_str(x):
+    a, b, r = x
+    if b == 0:
+        return str(a)
+    surd = {1: "sqrt(%d)" % r, -1: "-sqrt(%d)" % r}.get(b, "%s*sqrt(%d)" % (b, r))
+    if a == 0:
+        return surd
+    return str(a) + ("" if surd.startswith("-") else "+") + surd
+
+
+def _check_xs(x, ref):
+    a, b, r = ref
+    assert all(type(v) is int for v in (x.na, x.nb, x.den, x.r))
+    assert x.den > 0 and gcd(x.na, x.nb, x.den) == 1
+    assert (x.a, x.b, x.r) == (a, b, r)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert str(x) == _ref_xs_str(ref) and repr(x) == "XS(%s)" % _ref_xs_str(ref)
+    assert float(x) == float(a) + float(b) * float(r) ** 0.5
+    assert x.is_rational == (b == 0)
+
+
+def _random_xs_args(rng):
+    def part():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+    return part(), part(), rng.choice(sorted(_SPLIT) + [0])
+
+
+def test_xs_matches_fraction_reference():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        _xs_reference_cases(random.Random(11), 3000)
+
+
+def _xs_reference_cases(rng, n):
+    for _ in range(n):
+        p, q = _random_xs_args(rng), _random_xs_args(rng)
+        if rng.random() < 0.1:
+            q = p
+        x, y = XS(*p), XS(*q)
+        rx, ry = _ref_xs(*p), _ref_xs(*q)
+        _check_xs(x, rx)
+        _check_xs(-x, _ref_norm(-rx[0], -rx[1], rx[2]))
+        s = _ref_add(rx, ry)
+        if s is None:
+            assert x.try_add(y) is None
+            with pytest.raises(ValueError, match="inexact surd addition"):
+                x + y
+        else:
+            _check_xs(x.try_add(y), s)
+            _check_xs(x + y, s)
+        m = _ref_mul(rx, ry)
+        if m is None:
+            with pytest.raises(ValueError, match="inexact surd product"):
+                x * y
+        else:
+            _check_xs(x * y, m)
+        inv = _ref_inverse(rx)
+        if inv is None:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            _check_xs(x.inverse(), inv)
+        vx, vy = _ref_value(rx), _ref_value(ry)
+        assert x.sign() == _ref_sign(vx)
+        c = _ref_sign(vx - vy)
+        assert x.cmp(y) == c == -y.cmp(x)
+        assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+        lo, hi = x.bounds()
+        assert (lo, hi) == _ref_bounds(rx)
+        assert type(lo) is Fraction and type(hi) is Fraction
+        assert (x.lower(), x.upper()) == (lo, hi)
+        for up in (True, False):
+            got = xs_add_outward(x, y, up)
+            if s is not None:
+                _check_xs(got, s)
+            else:
+                (xl, xh), (yl, yh) = _ref_bounds(rx), _ref_bounds(ry)
+                _check_xs(got, _ref_norm(xh + yh if up else xl + yl, 0, 0))
+            got = xs_mul_outward(x, y, up)
+            if m is not None:
+                _check_xs(got, m)
+            else:
+                (xl, xh), (yl, yh) = _ref_bounds(rx), _ref_bounds(ry)
+                prods = [xl * yl, xl * yh, xh * yl, xh * yh]
+                _check_xs(got, _ref_norm(max(prods) if up else min(prods), 0, 0))
+        # the same value reached two ways is the same quadruple
+        assert (x == y) == (rx == ry)
+        if x == y:
+            assert hash(x) == hash(y)
+        if s is not None:
+            again = x.try_add(y) - y
+            assert again == x and hash(again) == hash(x)
+        # (sqrt(103) * sqrt(1050703)) / sqrt(1050703) is 10403 / sqrt(1050703),
+        # equal in value to sqrt(103) but stored over the other radicand
+        if m is not None and y.sign() != 0 and y.r in (0, x.r):
+            again = (x * y) / y
+            assert again == x and hash(again) == hash(x)
+        if rx[2] == 2:
+            twice = XS(p[0], Fraction(p[1]) * _SPLIT[p[2]][0] / 2, 8)
+            assert twice == x and hash(twice) == hash(x)

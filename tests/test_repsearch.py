@@ -389,16 +389,21 @@ def test_polish_does_not_stall_at_dim3(reg, corpus):
 
 
 def test_refute_without_sa_r_does_not_stall(reg, corpus, tmp_path,
-                                             monkeypatch):
-    # two_projections without sa_r: the per-restart polish took 25 s
+                                             monkeypatch, capsys):
+    # two_projections without sa_r: the per-restart polish took 25 s.
+    # r* = r follows from r^2 = r and ||r|| <= 1, but an idempotent of norm
+    # 1 + tol_cap can have ||r* - r|| near sqrt(2 tol_cap), which the
+    # witness floor used to accept (||term|| = 1.7e-07, exit 0)
     text = (corpus / "two_projections.pres").read_text()
     lines = [ln for ln in text.splitlines() if "sa_r" not in ln]
     (tmp_path / "tp_no_sa_r.pres").write_text("\n".join(lines) + "\n")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(REGISTRY_ENV, raising=False)
     start = time.perf_counter()
-    main(["refute", "-p", "tp_no_sa_r.pres", "r* - r", "--manifest", ""])
+    rc = main(["refute", "-p", "tp_no_sa_r.pres", "r* - r", "--manifest", ""])
     assert time.perf_counter() - start < 5.0
+    assert rc == 1
+    assert capsys.readouterr().out == "no witness found (inconclusive)\n"
 
 
 def test_search_idempotent_dim2(reg, corpus):
