@@ -416,7 +416,11 @@ class Coeff:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        # an int or a Fraction is already in lowest terms
+        if type(re) is not int and type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not int and type(im) is not Fraction:
+            im = Fraction(im)
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
         # both parts are in lowest terms, so over d = lcm(q, s) the

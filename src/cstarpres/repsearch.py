@@ -19,7 +19,6 @@ failed search proves nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -275,13 +274,12 @@ def op_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _frobenius(m: np.ndarray) -> list[float]:
-    """Frobenius norm of each matrix in a stack, computed slice by slice
-    the way np.linalg.norm computes it; a vectorised sum of squares is not
-    bitwise equal to that."""
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack, bitwise equal to
+    np.linalg.norm of each slice: `vecdot` takes the same BLAS dot per
+    row that norm's `dot` does (a sum of squares or `einsum` does not)."""
     x = m.reshape(len(m), -1)
-    return [math.sqrt(re.dot(re) + im.dot(im))
-            for re, im in zip(x.real, x.imag)]
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 # -- parameter packing ---------------------------------------------------------
@@ -399,8 +397,10 @@ class _Objective:
         fwd = _Pass(_assign(theta, self.syms, self.d), self.d, rows)
         penalty, reward_w = SearchConfig.penalty, SearchConfig.reward
         taped = [fwd.eval(plan) for plan in self.bodies]
-        norms = [_frobenius(m) for m, _ in taped]
-        val = np.array([sum(n[i] ** 2 for n in norms) for i in range(rows)])
+        val = np.zeros(rows)
+        for m, _ in taped:
+            n = _frobenius(m)
+            val = val + n * n
         svds = []
         for s, cap in zip(self.syms, self.caps):
             u, sv, vh = np.linalg.svd(fwd.assign[s])
@@ -409,8 +409,8 @@ class _Objective:
             svds.append((u, vh, exc))
         if self.reward is not None:
             qmat, qtape = fwd.eval(self.reward)
-            val = val - reward_w * np.array(
-                [n ** 2 for n in _frobenius(qmat)])
+            q = _frobenius(qmat)
+            val = val - reward_w * (q * q)
         zero = np.zeros((rows, self.d, self.d), dtype=complex)
         grads = {s: zero.copy() for s in self.syms}
         for m, tape in taped:
@@ -471,7 +471,8 @@ class _Objective:
         vectors, as `op_norm` computes it."""
         fwd = _Pass(_assign(theta, self.syms, self.d), self.d, len(theta),
                     diag)
-        norms = [_frobenius(fwd.eval(plan)[0]) for plan in self.bodies]
+        norms = [_frobenius(fwd.eval(plan)[0]).tolist()
+                 for plan in self.bodies]
         excess = [[max(0.0, top - cap) for top in np.linalg.svd(
             fwd.assign[s], compute_uv=False)[:, 0].tolist()]
             for s, cap in zip(self.syms, self.caps)]

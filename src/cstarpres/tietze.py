@@ -197,6 +197,42 @@ def _monomial_coder(atoms, gens: NormedSet):
     return code
 
 
+def _supported(target: NF, bodies, gens: NormedSet, max_degree: int) -> bool:
+    """Whether every monomial of `target` is in the support of some
+    candidate wa * u * wb: wa and wb are words in the generator letters
+    with |wa| + |wb| <= max_degree, and u is a monomial of one of `bodies`."""
+    letters = {a for s in gens.names() for a in (Atom(GEN, s), Atom(ADJ, s))}
+    support = {m for t in bodies for m in t}
+    for m in target:
+        n = len(m)
+        # the longest prefix and suffix of generator letters a split may use
+        pre = 0
+        while pre < min(n, max_degree) and m[pre] in letters:
+            pre += 1
+        suf = 0
+        while suf < min(n, max_degree) and m[n - 1 - suf] in letters:
+            suf += 1
+        if not any(m[i:n - j] in support for i in range(pre + 1)
+                   for j in range(min(suf, max_degree - i, n - i) + 1)):
+            return False
+    return True
+
+
+def _outcome_without_certificate(n_forms: int, gens: NormedSet,
+                                 max_degree: int, max_candidates: int
+                                 ) -> BudgetExhausted | None:
+    """What the search returns when no certificate exists: BudgetExhausted
+    at the first degree whose candidates overflow the budget, else None.
+    Degree k has (k + 1) (2g)^k word pairs for each of the `n_forms`
+    bodies and starred bodies."""
+    total = 0
+    for k in range(max_degree + 1):
+        total += (k + 1) * (2 * len(gens)) ** k * n_forms
+        if total > max_candidates:
+            return BudgetExhausted(max_candidates, k - 1)
+    return None
+
+
 def search_certificate(relations, target: NF, gens: NormedSet,
                        max_degree: int = 1, max_candidates: int = 6000
                        ) -> Certificate | BudgetExhausted | None:
@@ -213,18 +249,29 @@ def search_certificate(relations, target: NF, gens: NormedSet,
     None means no certificate up to max_degree.  BudgetExhausted means the
     next degree would have taken the candidate count above
     max_candidates; the search stops before eliminating it.
+
+    A support test runs first.  A candidate's monomials are wa + u + wb,
+    u a monomial of a body or its star, so a target monomial with no such
+    split (a call atom never falls inside wa or wb) is in no candidate's
+    support and no combination reaches it.  Such a target has no
+    certificate at any degree, and the outcome is known without
+    elimination: BudgetExhausted at the degree the full search would
+    stop at, counted from the candidate numbers alone, else None.
     """
     if target.is_zero:
         return Certificate(())
     rel_list = list(relations)
     bodies = [body for _, body in rel_list]
     star_bodies = [star(body) for body in bodies]
+    n_rels = len(rel_list)
+    has_star = [s is not b for s, b in zip(star_bodies, bodies)]
+    if not _supported(target, bodies + star_bodies, gens, max_degree):
+        return _outcome_without_certificate(n_rels + sum(has_star), gens,
+                                            max_degree, max_candidates)
     code = _monomial_coder([a for t in [target] + bodies + star_bodies
                            for m in t for a in m], gens)
     coded = [[(code(m), c) for m, c in t.items()]
              for t in bodies + star_bodies]
-    n_rels = len(rel_list)
-    has_star = [s is not b for s, b in zip(star_bodies, bodies)]
 
     # pivots: leading code -> (vector, pivot number); origins[number] is
     # (candidate index, elimination steps) with steps (ratio, number) pairs

@@ -446,6 +446,18 @@ def test_search_determinism_with_calls(reg, corpus):
             assert np.array_equal(a.rep.assign[s], b.rep.assign[s])
 
 
+def test_frobenius_is_bitwise_norm_per_slice():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 4, 8):
+        for rows in (1, 3, 12, 50):
+            m = (rng.standard_normal((rows, d, d))
+                 + 1j * rng.standard_normal((rows, d, d)))
+            # _frobenius reads .real / .imag as strided views of m
+            got = repsearch._frobenius(m)
+            want = [np.linalg.norm(m[i]) for i in range(rows)]
+            assert got.tolist() == want
+
+
 def _adam_residuals(p, reg, restarts=2, iters=60):
     """Largest relation residual of each restart after the Adam stage of
     a seed-0 search at d = 2, before any polish."""

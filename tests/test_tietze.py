@@ -275,26 +275,113 @@ def _random_search_case(rng, reg):
     return rels, target, g, max_degree, max_candidates
 
 
+def _decided_by_support(rels, target, g, degree):
+    bodies = [b for _, b in rels]
+    return not tietze._supported(target, bodies + [star(b) for b in bodies],
+                                 g, degree)
+
+
+def _check_against_reference(rels, target, g, degree, budget=6000):
+    """The search's outcome, checked equal to the reference's: "certificate",
+    "none" or "budget"."""
+    want = _reference_search_certificate(rels, target, g, degree, budget)
+    got = search_certificate(rels, target, g, degree, budget)
+    if isinstance(want, Certificate):
+        assert isinstance(got, Certificate)
+        assert got.summands == want.summands
+        return "certificate"
+    if want is None:
+        assert got is None
+        return "none"
+    assert got == tietze.BudgetExhausted(budget, want[1])
+    return "budget"
+
+
 def test_search_matches_reference_elimination(reg):
     rng = random.Random(20101012)
     outcomes = collections.Counter()
+    decided = collections.Counter()  # outcomes the support test settles
     for _ in range(300):
         rels, target, g, degree, budget = _random_search_case(rng, reg)
-        want = _reference_search_certificate(rels, target, g, degree,
-                                             budget)
-        got = search_certificate(rels, target, g, degree, budget)
-        if isinstance(want, Certificate):
-            assert isinstance(got, Certificate)
-            assert got.summands == want.summands
-            outcomes["certificate"] += 1
-        elif want is None:
-            assert got is None
-            outcomes["none"] += 1
-        else:
-            assert got == tietze.BudgetExhausted(budget, want[1])
-            outcomes["budget"] += 1
+        outcome = _check_against_reference(rels, target, g, degree, budget)
+        outcomes[outcome] += 1
+        if _decided_by_support(rels, target, g, degree):
+            decided[outcome] += 1
     assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+    # an unreachable target has no certificate
+    assert "certificate" not in decided, decided
+    assert decided.total() >= 20 and decided["budget"] >= 5, decided
 
+
+def test_support_test_keeps_call_atoms_out_of_the_words(reg):
+    g = NormedSet()
+    g.add("x", XS(1))
+    x = gen_nf("x")
+    body = x - star(x)
+    call = parse_term("p(x* x)", g, reg)
+    # p(x* x) x is wa body wb only with the call atom as wa
+    target = call * body
+    assert _decided_by_support([("sa", body)], target, g, 2)
+    assert _check_against_reference([("sa", body)], target, g, 2) == "none"
+    # with the call atom inside a relation the same target is reached
+    rels = [("sa", body), ("c", call)]
+    assert not _decided_by_support(rels, target, g, 1)
+    assert _check_against_reference(rels, target, g, 1) == "certificate"
+
+
+def test_support_test_on_a_unit_monomial(reg):
+    g = NormedSet()
+    g.add("x", XS(1))
+    x = gen_nf("x")
+    iso = star(x) * x - ONE  # has a constant term
+    # the unit is in iso's support, so only elimination rules it out
+    assert not _decided_by_support([("iso", iso)], ONE, g, 1)
+    assert _check_against_reference([("iso", iso)], ONE, g, 1) == "none"
+    target = iso * 2 - x * iso * star(x)
+    assert not _decided_by_support([("iso", iso)], target, g, 2)
+    assert (_check_against_reference([("iso", iso)], target, g, 2)
+            == "certificate")
+    # a body without a constant term never reaches the unit
+    sa = x - star(x)
+    assert _decided_by_support([("sa", sa)], ONE + x, g, 3)
+    assert _check_against_reference([("sa", sa)], ONE + x, g, 3) == "none"
+
+
+def test_support_test_counts_starred_bodies(reg):
+    g = NormedSet()
+    g.add("x", XS(1))
+    g.add("y", XS(1))
+    x, y = gen_nf("x"), gen_nf("y")
+    idem = x - x * x  # its star x* - x* x* has all of the target's support
+    target = y * star(idem) * Fraction(2, 3)
+    assert not tietze._supported(target, [idem], g, 1)
+    assert not _decided_by_support([("idem", idem)], target, g, 1)
+    assert (_check_against_reference([("idem", idem)], target, g, 1)
+            == "certificate")
+
+
+def test_support_test_at_the_degree_and_budget_edges(reg):
+    g = NormedSet()
+    g.add("x", XS(1))
+    x = gen_nf("x")
+    idem = x - x * x
+    rels = [("idem", idem)]
+    # x idem x needs words of total degree 2
+    target = x * idem * x
+    assert _decided_by_support(rels, target, g, 1)
+    assert _check_against_reference(rels, target, g, 1) == "none"
+    assert not _decided_by_support(rels, target, g, 2)
+    assert _check_against_reference(rels, target, g, 2) == "certificate"
+    # idem and its star: 2 candidates at degree 0 and 8 at degree 1
+    unreached = call_nf("exp", x, ())
+    assert _decided_by_support(rels, unreached, g, 1)
+    assert search_certificate(rels, unreached, g, 1, 10) is None
+    assert (search_certificate(rels, unreached, g, 1, 9)
+            == tietze.BudgetExhausted(9, 0))
+    assert (search_certificate(rels, unreached, g, 1, 1)
+            == tietze.BudgetExhausted(1, -1))
+    for budget in (1, 9, 10):
+        _check_against_reference(rels, unreached, g, 1, budget)
 
 def test_monomial_codes_sort_as_monomial_key(reg, corpus):
     with_calls = 0
