@@ -339,7 +339,8 @@ def main(argv=None) -> int:
         reg = _load_registry(args)
         return _HANDLERS[args.command](args, reg)
     except (UsageError, ParseError, MacroError, scripts.ScriptError,
-            tietze.MoveError, tietze.BridgeError, OSError, ValueError) as e:
+            tietze.MoveError, tietze.BridgeError, OSError, ValueError,
+            OverflowError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RecursionError:

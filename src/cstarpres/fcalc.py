@@ -38,10 +38,22 @@ class MacroError(ValueError):
 # -- directed rational bounds for exp ------------------------------------
 
 def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lo <= e^x <= hi."""
+    """Rational lo <= e^x <= hi.
+
+    Raises OverflowError for x > 2^20, where the bounds would take more
+    than a million bits; below -2^20 the bounds are 0 and e^(-2^20)'s."""
+    if x > 2 ** 20:
+        raise OverflowError("e^x out of range for an exact bound: x > 2^20")
+    if x < -2 ** 20:
+        return Fraction(0), exp_bounds(Fraction(-2 ** 20))[1]
     if x < 0:
         lo, hi = exp_bounds(-x)
         return 1 / hi, 1 / lo
+    if x > 32:
+        # the series below takes 4x terms; e^x = (e^(x/2))^2 instead,
+        # with the halves rounded outward so the bit size stays bounded
+        lo, hi = exp_bounds(x / 2)
+        return _dyadic(lo, up=False) ** 2, _dyadic(hi, up=True) ** 2
     n = max(24, 4 * (int(x) + 1))
     s = Fraction(0)
     term = Fraction(1)

@@ -6,13 +6,15 @@ the symmetrized argument (entire functions through the matrix
 exponential).  On top of evaluation sit a seeded penalized feasibility
 search, a redundancy refuter, and a norm lower-bound witness search.
 Terms are compiled once into plans of complex coefficients and atoms,
-and evaluated on stacks of assignments, so a search runs all its
-restarts as one Adam, then polishes them all in one Levenberg-Marquardt
-with a damping per row.  The gradient and the polish's Jacobian are
-reverse mode through every atom, reusing the products of the forward
-pass: divided differences of the scalar function for spectral calls
-(Daleckii-Krein) and the Frechet derivative of the matrix exponential
-for entire ones.
+and evaluated on stacks of assignments.  A search runs all its restarts
+through one Levenberg-Marquardt with a damping per row: first with a
+reward row that pushes the reward term's norm up, if there is one, then
+on the relations and caps alone.  Only the restarts left infeasible run
+Adam from their own start points, and are polished again.  The
+gradient and the Jacobians are reverse mode through every atom, reusing
+the products of the forward pass: divided differences of the scalar
+function for spectral calls (Daleckii-Krein) and the Frechet derivative
+of the matrix exponential for entire ones.
 None of this is trusted by the symbolic kernel: a witness refutes, a
 failed search proves nothing.
 """
@@ -24,6 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import bounds
 from .terms import ADJ, CALL, GEN, NF, UNIT
 from .presentation import Presentation
 
@@ -49,7 +52,7 @@ class EvalDiag:
 class SearchConfig:
     seed: int = 0
     restarts: int = 8
-    max_iters: int = 350
+    max_iters: int = 350  # Adam steps of a restart the polish leaves infeasible
     tol_feas: ClassVar[float] = 1e-8  # feasible: every relation residual below
     tol_cap: ClassVar[float] = 1e-6   # feasible: every cap excess below
     penalty: ClassVar[float] = 10.0   # weight of a squared cap excess
@@ -131,6 +134,17 @@ def _compile(t: NF, registry, flavor: str, calls: dict) -> list:
                 atoms.append((atom.kind, atom.sym))
         plan.append((complex(c), tuple(atoms)))
     return plan
+
+
+def _reward_bound(term: NF, p: Presentation, d: int, registry) -> float:
+    """2 sqrt(d) times the kernel's norm bound of `term` under the caps,
+    which is above its Frobenius norm at every point of the cap box;
+    capped at 1e150, which also stands for a bound beyond a float."""
+    try:
+        b = float(bounds.norm_bound(term, bounds.Context(p.gens, registry)))
+    except OverflowError:
+        return 1e150
+    return min(2 * d ** 0.5 * b, 1e150)
 
 
 class _Taped:
@@ -378,7 +392,8 @@ class _Objective:
     and its gradient: squared relation residuals plus the penalized cap
     excesses, minus the weighted square of the reward term's norm.  The
     polish residuals with their Jacobian (`lsq`) and the final scores
-    run the same compiled plans.
+    run the same compiled plans.  `reward_bound` is the target of
+    `lsq`'s reward row.
     """
 
     def __init__(self, p: Presentation, d: int, registry,
@@ -391,6 +406,8 @@ class _Objective:
                        for r in p.relations]
         self.reward = (None if reward_term is None else
                        _compile(reward_term, registry, p.flavor, calls))
+        self.reward_bound = (None if reward_term is None else
+                             _reward_bound(reward_term, p, d, registry))
 
     def __call__(self, theta: np.ndarray):
         rows = len(theta)
@@ -427,17 +444,21 @@ class _Objective:
                 grads[s] -= reward_w * rgr[s]
         return val, _flatten(grads, self.syms)
 
-    def lsq(self, theta: np.ndarray):
+    def lsq(self, theta: np.ndarray, reward: bool = False):
         """Residuals (R, m) and their Jacobians (R, m, n) of a stack of rows
         (R, n), from one pass: every relation's entries (real parts, then
         imaginary parts), then each generator's cap excess weighted by
-        the square root of the penalty.
+        the square root of the penalty, then, with `reward`, the reward
+        row sqrt(w) (C - ||Q||_F), where Q is the reward term's value, C
+        is `reward_bound` and w the reward weight.
 
         A relation's rows take one backward pass whose upstream stacks
         the unit adjoints of its entries on a leading axis: E/2 for a
         real part, iE/2 for an imaginary part.  A cap row is the weighted
         derivative of the top singular value, u1 v1^H, where the cap is
-        exceeded and zero elsewhere."""
+        exceeded and zero elsewhere.  The reward row's derivative is
+        -sqrt(w) / (2 ||Q||_F) times the gradient of ||Q||_F^2, the
+        backward pass of Q itself; zero where Q vanishes."""
         rows, d = len(theta), self.d
         fwd = _Pass(_assign(theta, self.syms, d), d, rows)
         units = np.eye(d * d).reshape(d * d, 1, d, d) / 2
@@ -460,6 +481,16 @@ class _Objective:
             grads[s] = np.where((exc > 0.0)[:, None, None],
                                 w / 2 * u[:, :, :1] * vh[:, None, 0], 0.0)
             jac.append(_flatten(grads, self.syms)[:, None])
+        if reward:
+            w = SearchConfig.reward ** 0.5
+            q, tape = fwd.eval(self.reward)
+            norm = _frobenius(q)
+            res.append(w * (self.reward_bound - norm)[:, None])
+            grads = {s: zero.copy() for s in self.syms}
+            fwd.backward(tape, q, grads)
+            scale = np.divide(-w / 2, norm, out=np.zeros(rows),
+                              where=norm > 0.0)
+            jac.append((scale[:, None] * _flatten(grads, self.syms))[:, None])
         return np.concatenate(res, axis=1), np.concatenate(jac, axis=1)
 
     def score(self, theta: np.ndarray, diag: EvalDiag) -> list[tuple]:
@@ -515,9 +546,10 @@ def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
     return best
 
 
-def _polish(objective: _Objective, theta: np.ndarray) -> np.ndarray:
-    """Levenberg-Marquardt on `objective.lsq`, every row of the stack at
-    once, each with its own damping.
+def _polish(objective: _Objective, theta: np.ndarray,
+            reward: bool = False) -> np.ndarray:
+    """Levenberg-Marquardt on `objective.lsq` (with its reward row when
+    `reward`), every row of the stack at once, each with its own damping.
 
     A step solves (J^T J + lam tr(J^T J)/n I) delta = -J^T f.  A row
     takes its trial point when the cost falls (then lam / 3) and keeps
@@ -526,7 +558,7 @@ def _polish(objective: _Objective, theta: np.ndarray) -> np.ndarray:
     a damping above 1e16."""
     theta = theta.copy()
     n = theta.shape[1]
-    f, jac = objective.lsq(theta)
+    f, jac = objective.lsq(theta, reward)
     cost = np.sum(f * f, axis=1)
     lam = np.full(len(theta), LM_DAMPING)
     active = cost > 0.0
@@ -544,7 +576,7 @@ def _polish(objective: _Objective, theta: np.ndarray) -> np.ndarray:
                                -(jt @ f[idx][:, :, None]))[:, :, 0]
         x_norm = np.linalg.norm(theta[idx], axis=1)
         trial = theta[idx] + step
-        ft, jac_t = objective.lsq(trial)
+        ft, jac_t = objective.lsq(trial, reward)
         ct = np.sum(ft * ft, axis=1)
         ok = ct < cost[idx]
         stalled = ok & (cost[idx] - ct <= 1e-15 * cost[idx])
@@ -569,6 +601,7 @@ class RestartOutcome:
     rep: MatrixRep
     residuals: list    # each relation's residual, in relation order
     value: float | None  # operator norm of the reward term, if any
+    stage: str         # "lm", or "adam" for a restart Adam rescued
 
 
 @dataclass
@@ -593,8 +626,12 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
     """Penalized random-restart search; deterministic given cfg.seed.
 
     Each restart draws its start point from its own (seed, index) stream.
-    One Adam runs over the stack of all start points, one
-    Levenberg-Marquardt polishes the stack, and one pass scores it.
+    One Levenberg-Marquardt runs over the stack of all start points, with
+    the reward row when there is a reward term, then the polish on the
+    relations and caps alone, and one pass scores the stack.  The
+    restarts still infeasible run cfg.max_iters steps of Adam from their
+    own start points, are polished and scored again, and replace their
+    rows; their `stage` is "adam".
 
     Raises ValueError unless d >= 1 and cfg.restarts >= 1, so that
     `refute_redundancy` and `norm_lower_bound` never report a search that
@@ -603,14 +640,31 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
         raise ValueError("dimension must be at least 1, got %d" % d)
     if cfg.restarts < 1:
         raise ValueError("restarts must be at least 1, got %d" % cfg.restarts)
-    syms = p.gens.names()
     objective = _Objective(p, d, registry, reward_term)
-    theta = np.stack([_start(objective.caps, d, cfg.seed, idx)
+    start = np.stack([_start(objective.caps, d, cfg.seed, idx)
                       for idx in range(cfg.restarts)])
-    if syms:
-        theta = _polish(objective,
-                        _adam(objective, theta, cfg.max_iters, cfg.lr))
-    diag = EvalDiag()
+    stages = ["lm"] * cfg.restarts
+    if not objective.syms:
+        return _scored(p, objective, start, stages, cfg)
+    theta = start
+    if objective.reward is not None:
+        theta = _polish(objective, theta, reward=True)
+    theta = _polish(objective, theta)
+    result = _scored(p, objective, theta, stages, cfg)
+    bad = [o.index for o in result.outcomes if not o.feasible]
+    if not bad:
+        return result
+    theta[bad] = _polish(objective, _adam(objective, start[bad],
+                                          cfg.max_iters, cfg.lr))
+    for idx in bad:
+        stages[idx] = "adam"
+    return _scored(p, objective, theta, stages, cfg)
+
+
+def _scored(p: Presentation, objective: _Objective, theta: np.ndarray,
+            stages: list, cfg: SearchConfig) -> SearchResult:
+    """Score every row of the stack in one pass."""
+    d, diag = objective.d, EvalDiag()
     outcomes = []
     for idx, (th, (res, excess, value)) in enumerate(
             zip(theta, objective.score(theta, diag))):
@@ -618,7 +672,8 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
         outcomes.append(RestartOutcome(
             idx, residual, excess,
             residual < cfg.tol_feas and excess < cfg.tol_cap,
-            _unpack(th, syms, d, p.flavor), res, value))
+            _unpack(th, objective.syms, d, p.flavor), res, value,
+            stages[idx]))
     return SearchResult(d, cfg, outcomes, diag)
 
 
@@ -683,7 +738,8 @@ def result_to_json(p: Presentation, result: SearchResult) -> dict:
         "tol_cap": result.config.tol_cap,
         "restart_results": [
             {"index": o.index, "residual": o.residual,
-             "cap_excess": o.cap_excess, "feasible": o.feasible}
+             "cap_excess": o.cap_excess, "feasible": o.feasible,
+             "stage": o.stage}
             for o in result.outcomes],
         "best": {
             "index": best.index,

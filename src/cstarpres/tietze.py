@@ -711,19 +711,34 @@ def auto_simplify(p: Presentation, registry, max_degree: int = 1
     with an eliminable defining relation, run to its fixpoint: each step
     removes a relation or a generator, so the loop ends.  Each candidate
     move is checked once, by a strict `apply_move`, so the emitted
-    derivation is gap-free and re-checks in strict mode."""
+    derivation is gap-free and re-checks in strict mode.
+
+    A relation whose search found no certificate is not searched again
+    until a generator is removed: removing relations only shrinks the
+    set it was searched against, and a certificate against a subset
+    would be one against the set.  A generator removal substitutes into
+    the bodies, so it clears that record."""
     cur = p
     steps = []
-    while (found := _next_removal(cur, registry, max_degree)) is not None:
+    settled = set()
+    while (found := _next_removal(cur, registry, max_degree,
+                                  settled)) is not None:
         move, cur = found
         steps.append(move)
+        if isinstance(move, RemoveGenerators):
+            settled.clear()
     return cur, Derivation(p, tuple(steps), cur)
 
 
-def _next_removal(cur: Presentation, registry, max_degree: int):
+def _next_removal(cur: Presentation, registry, max_degree: int,
+                  settled: set):
     """The first redundant relation, else the first eliminable generator,
-    as (move, presentation after it); None when there is neither."""
+    as (move, presentation after it); None when there is neither.  The
+    relations named in `settled` are known to have no certificate, and
+    each relation found to have none is added to it."""
     for rel in cur.relations:
+        if rel.name in settled:
+            continue
         others = [(r.name, r.body) for r in cur.relations
                   if r.name != rel.name]
         cert = search_certificate(others, rel.body, cur.gens,
@@ -731,6 +746,8 @@ def _next_removal(cur: Presentation, registry, max_degree: int):
         if isinstance(cert, Certificate):
             move = RemoveRelations(rel.name, cert)
             return move, apply_move(cur, move, "strict", registry)[0]
+        if cert is None:
+            settled.add(rel.name)
     for rel in cur.relations:
         for sym in cur.gens.names():
             move = RemoveGenerators(sym, rel.name)

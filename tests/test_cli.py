@@ -442,6 +442,18 @@ def test_parse_error_exit_2(capsys, corpus):
     assert "error:" in err
 
 
+def test_bound_past_exp_range_is_exit_2(capsys, tmp_path):
+    # e^(e^30) is past what exp_bounds represents exactly
+    pres = tmp_path / "big.pres"
+    pres.write_text("flavor: unital\ngenerators:\n  x : 30\nrelations:\n"
+                    "  a : x - x*\n")
+    code, out, err = run(capsys, "normbound", "exp(exp(x))", "-p", str(pres),
+                         "--manifest", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: e^x out of range")
+
+
 def test_deep_nesting_is_exit_2(capsys, corpus, tmp_path):
     # a term argument and a relation line, each nested past Python's
     # recursion limit

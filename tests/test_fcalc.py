@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 from fractions import Fraction
@@ -26,6 +27,30 @@ def test_exp_bounds_sandwich():
         assert lo <= hi
         assert float(lo) <= math.exp(float(q)) <= float(hi)
         assert float(hi) - float(lo) < 1e-6
+
+
+def test_exp_bounds_of_large_arguments_halve(reg):
+    # above 32 the bounds come from squaring the halves' bounds; checked
+    # against 90-digit decimal exponentials, correctly rounded
+    slack = Fraction(1, 10 ** 80)
+    for q in [Fraction(33), Fraction(81, 2), Fraction(100), Fraction(-77),
+              Fraction(22026), Fraction(10 ** 6, 3)]:
+        lo, hi = exp_bounds(q)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 90
+            want = Fraction((decimal.Decimal(q.numerator)
+                             / decimal.Decimal(q.denominator)).exp())
+        assert lo <= want * (1 + slack) and want * (1 - slack) <= hi
+        assert (hi - lo) / lo < Fraction(1, 10 ** 14)
+    with pytest.raises(OverflowError):
+        exp_bounds(Fraction(2 ** 20 + 1))
+    lo, hi = exp_bounds(Fraction(-2 ** 21))
+    assert lo == 0 and hi == exp_bounds(Fraction(-2 ** 20))[1]
+    # exp(exp(x)) with cap 6 ran 4 * e^6 Taylor terms before
+    g = NormedSet()
+    g.add("x", XS(6))
+    t = parse_term("exp(exp(x))", g, reg)
+    assert float(bounds.norm_bound(t, bounds.Context(g, reg))) > 1.6e175
 
 
 def test_nested_exp_bounds_stay_small_and_sound(reg):

@@ -8,6 +8,7 @@ import pytest
 from cstarpres import repsearch
 from cstarpres.cli import REGISTRY_ENV, main
 from cstarpres.exact import XS
+from cstarpres.fcalc import load_registry_file
 from cstarpres.parser import parse_term
 from cstarpres.presentation import (Presentation, Relation,
                                     load_presentation, parse_presentation)
@@ -263,11 +264,12 @@ def test_gradient_through_non_hermitian_call_argument(reg):
                                 reg, seed=5)
 
 
-def _residuals(p, theta, d, reg):
+def _residuals(p, theta, d, reg, q=None, bound=None):
     """The polish residual of one parameter row, evaluated without any
     gradient code: each relation's real then imaginary entries, then
     each generator's cap excess weighted by the square root of the
-    penalty."""
+    penalty, then, given a reward term q, the reward row
+    sqrt(reward) (bound - ||q||_F)."""
     rep = repsearch._unpack(theta, p.gens.names(), d, p.flavor)
     parts = []
     for r in p.relations:
@@ -276,6 +278,9 @@ def _residuals(p, theta, d, reg):
     w = SearchConfig.penalty ** 0.5
     parts.append([w * max(0.0, op_norm(rep.assign[s]) - float(p.gens.norm(s)))
                   for s in p.gens.names()])
+    if q is not None:
+        parts.append([SearchConfig.reward ** 0.5 * (bound - np.linalg.norm(
+            eval_term(rep, q, reg, strict_herm=False)))])
     return np.concatenate(parts)
 
 
@@ -289,14 +294,17 @@ def _fd_jacobian(fun, theta, h=1e-6):
     return np.stack(cols, axis=1)
 
 
-def _assert_jacobian_matches_fd(p, d, reg, seed, points=2):
+def _assert_jacobian_matches_fd(p, d, reg, seed, points=2, q=None):
     """lsq's residuals equal `_residuals`, and its Jacobian matches
     central differences, at points where some cap is exceeded and at
-    points inside every cap, each away from kinks."""
+    points inside every cap, each away from kinks; given a reward term
+    q, with the reward row."""
     rng = np.random.default_rng(seed)
     syms = p.gens.names()
     caps = [float(p.gens.norm(s)) for s in syms]
-    objective = repsearch._Objective(p, d, reg)
+    objective = repsearch._Objective(p, d, reg, q)
+    bound = objective.reward_bound
+    terms = [r.body for r in p.relations] + ([] if q is None else [q])
     for exceeded in (True, False):
         checked = 0
         for _ in range(50 * points):
@@ -309,12 +317,13 @@ def _assert_jacobian_matches_fd(p, d, reg, seed, points=2):
             gaps = [op_norm(rep.assign[s]) - c for s, c in zip(syms, caps)]
             if (max(gaps) > 0) != exceeded or min(map(abs, gaps)) < 1e-3:
                 continue
-            if not all(_kink_free(rep, r.body, reg) for r in p.relations):
+            if not all(_kink_free(rep, t, reg) for t in terms):
                 continue
-            f, jac = objective.lsq(theta[None])
-            want = _residuals(p, theta, d, reg)
+            f, jac = objective.lsq(theta[None], q is not None)
+            want = _residuals(p, theta, d, reg, q, bound)
             assert np.allclose(f[0], want, rtol=1e-12, atol=1e-12)
-            fd = _fd_jacobian(lambda t: _residuals(p, t, d, reg), theta)
+            fd = _fd_jacobian(lambda t: _residuals(p, t, d, reg, q, bound),
+                              theta)
             denom = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(jac[0] - fd) / denom < 1e-5
             checked += 1
@@ -333,27 +342,164 @@ def test_jacobian_matches_finite_differences(reg, corpus):
                                     reg, seed=i)
 
 
+def test_reward_jacobian_matches_finite_differences(reg, corpus):
+    # the reward row, with a generator and with a term that shares atoms
+    # with a relation body
+    paths = sorted(corpus.glob("*.pres"))
+    assert len(paths) >= 9
+    for i, path in enumerate(paths):
+        p = load_presentation(str(path), reg)
+        names = p.gens.names()
+        for q in (gen_nf(names[0]),
+                  gen_nf(names[0]) * adj_nf(names[-1]) + p.relations[0].body):
+            _assert_jacobian_matches_fd(p, 2, reg, seed=i, q=q)
+
+
 @pytest.mark.parametrize("body", CALL_BODIES)
 def test_jacobian_through_calls_matches_finite_differences(reg, body):
     # the Jacobian stacks its upstream adjoints on a leading axis, which
-    # every call's pullback, entire ones included, must broadcast over
+    # every call's pullback, entire ones included, must broadcast over;
+    # the reward term shares the call atom p(x + x*) with the last body
     p = parse_presentation(
         "flavor: unital\ngenerators:\n  x : 1\n  y : 2\nrelations:\n"
         "  a : %s\n  b : x - x* x\n" % body, reg)
     _assert_jacobian_matches_fd(p, 3, reg, seed=11)
+    q = parse_term("y* exp(x) + p(x + x*)", p.gens, reg)
+    _assert_jacobian_matches_fd(p, 3, reg, seed=11, q=q)
+
+
+BUMP_REGISTRY = "function bump:\n  domain selfadjoint\n  piece 0 1 : 50 -100\n"
+
+
+def _call_reward_setup(reg, tmp_path):
+    """x self-adjoint, y free, each within its cap, and a registry with
+    the piecewise function bump(t) = 50 - 100 t on [0, 1]."""
+    path = tmp_path / "bump.reg"
+    path.write_text(BUMP_REGISTRY)
+    ext = load_registry_file(str(path), reg)
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\n  y : 2\nrelations:\n"
+        "  a : x - x*\n", ext)
+    return p, ext
+
+
+REWARD_TERMS = ["x y* + exp(x) + 1/2", "inv_lb(x* x, 1/100)",
+                "bump(x* x)", "3 y* inv_lb(x* x, 1/1000) - bump(x* x)"]
+
+
+@pytest.mark.parametrize("text", REWARD_TERMS)
+def test_reward_bound_is_above_the_reward_norm(reg, tmp_path, text):
+    # the reward row's target exceeds ||Q||_F at every point of the cap
+    # box: sampled points, and the origin, where inv_lb is largest
+    p, ext = _call_reward_setup(reg, tmp_path)
+    q = parse_term(text, p.gens, ext, check_domains=False)
+    syms, d = p.gens.names(), 3
+    caps = [float(p.gens.norm(s)) for s in syms]
+    objective = repsearch._Objective(p, d, ext, q)
+    rng = np.random.default_rng(4)
+    points = [np.zeros(2 * len(syms) * d * d)]
+    for _ in range(40):
+        theta = rng.standard_normal(2 * len(syms) * d * d)
+        rep = repsearch._unpack(theta, syms, d, p.flavor)
+        # shrink into the caps, the largest at a random fraction of its cap
+        points.append(theta * rng.uniform(0.05, 1.0) / max(
+            op_norm(rep.assign[s]) / c for s, c in zip(syms, caps)))
+    for theta in points:
+        rep = repsearch._unpack(theta, syms, d, p.flavor)
+        norm = np.linalg.norm(eval_term(rep, q, ext, strict_herm=False))
+        assert norm <= objective.reward_bound
+    assert repsearch._Objective(p, d, ext).reward_bound is None
+
+
+@pytest.mark.parametrize("cap", [6, 30])
+def test_reward_bound_beyond_a_float_is_capped(reg, cap):
+    # the kernel's bound of exp(exp(x)) is e^(e^6) ~ 1.6e175 at cap 6,
+    # and past exp_bounds' range at cap 30
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : %d\nrelations:\n"
+        "  a : x - x*\n" % cap, reg)
+    q = parse_term("exp(exp(x))", p.gens, reg)
+    assert repsearch._Objective(p, 2, reg, q).reward_bound == 1e150
+
+
+@pytest.mark.parametrize("text, want", [("inv_lb(x* x, 1/100)", 100.0),
+                                        ("bump(x* x)", 50.0)])
+def test_call_reward_reaches_its_maximum(reg, tmp_path, text, want):
+    # the reward stage climbs to the norm the kernel cannot exceed: 1/m
+    # for inv_lb at x = 0, bump's 50 there too
+    p, ext = _call_reward_setup(reg, tmp_path)
+    q = parse_term(text, p.gens, ext, check_domains=False)
+    for seed in (1, 9001):
+        lb, rep = norm_lower_bound(p, q, 2, SearchConfig(seed=seed), ext)
+        assert rep is not None
+        assert lb == pytest.approx(want, rel=1e-6)
 
 
 def test_polished_rows_equal_lone_rows(reg, corpus):
     # restart 0 of a stack of 4 is polished bit for bit as it is alone,
-    # though the other rows accept, reject and stop at other iterations
+    # though the other rows accept, reject and stop at other iterations;
+    # with the reward row too
     for path in sorted(corpus.glob("*.pres")):
         p = load_presentation(str(path), reg)
-        objective = repsearch._Objective(p, 2, reg)
+        objective = repsearch._Objective(p, 2, reg, gen_nf(p.gens.names()[0]))
         theta = np.stack([repsearch._start(objective.caps, 2, 0, idx)
                           for idx in range(4)])
-        stacked = repsearch._polish(objective, theta)
-        alone = repsearch._polish(objective, theta[:1])
-        assert np.array_equal(stacked[0], alone[0]), path.name
+        for reward in (False, True):
+            stacked = repsearch._polish(objective, theta, reward)
+            alone = repsearch._polish(objective, theta[:1], reward)
+            assert np.array_equal(stacked[0], alone[0]), (path.name, reward)
+
+
+def test_two_projections_needs_no_adam(reg, corpus, monkeypatch):
+    # the reward row alone finds ||k|| = 1, where Adam's restart ended
+    # near 0
+    def no_adam(*args, **kwargs):
+        raise AssertionError("_adam called")
+    monkeypatch.setattr(repsearch, "_adam", no_adam)
+    p = load_presentation(str(corpus / "two_projections.pres"), reg)
+    cfg = SearchConfig(seed=1, restarts=1, max_iters=250)
+    res = search_feasible(p, 2, cfg, reg, reward_term=gen_nf("k"))
+    assert [o.stage for o in res.outcomes] == ["lm"]
+    assert res.outcomes[0].feasible
+    assert res.outcomes[0].value == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("g", ["x", "y"])
+def test_adam_rescues_only_the_infeasible_rows(reg, corpus, monkeypatch, g):
+    # norm_pitfall leaves every restart of x and some of y infeasible
+    # after the Levenberg-Marquardt stages; Adam runs from exactly those
+    # start points, and the rescued rows are bit for bit what Adam and
+    # the polish give on the whole stack
+    p = load_presentation(str(corpus / "norm_pitfall.pres"), reg)
+    q = gen_nf(g)
+    cfg = SearchConfig(seed=1, restarts=12)
+    objective = repsearch._Objective(p, 2, reg, q)
+    start = np.stack([repsearch._start(objective.caps, 2, cfg.seed, idx)
+                      for idx in range(cfg.restarts)])
+    lm = repsearch._polish(objective,
+                           repsearch._polish(objective, start, True))
+    left = [i for i, (res, excess, _) in enumerate(
+        objective.score(lm, EvalDiag()))
+        if not (max(res) < cfg.tol_feas and excess < cfg.tol_cap)]
+    assert left and (g == "x") == (len(left) == cfg.restarts)
+    seen = []
+    adam = repsearch._adam
+
+    def spy(fun_grad, theta, iters, lr):
+        seen.append(theta)
+        return adam(fun_grad, theta, iters, lr)
+    monkeypatch.setattr(repsearch, "_adam", spy)
+    res = search_feasible(p, 2, cfg, reg, reward_term=q)
+    assert len(seen) == 1 and np.array_equal(seen[0], start[left])
+    assert [o.index for o in res.outcomes if o.stage == "adam"] == left
+    assert all(o.feasible for o in res.outcomes if o.stage == "lm")
+    every = repsearch._polish(objective, adam(objective, start,
+                                              cfg.max_iters, cfg.lr))
+    for i in left:
+        want = repsearch._unpack(every[i], objective.syms, 2, p.flavor)
+        for s in objective.syms:
+            assert np.array_equal(res.outcomes[i].rep.assign[s],
+                                  want.assign[s])
 
 
 def test_polish_stops_on_a_flat_jacobian(reg):
@@ -622,6 +768,8 @@ def test_result_json_schema(reg, corpus, schemas_dir):
         (schemas_dir / "repsearch_report.schema.json").read_text())
     jsonschema.validate(doc, schema)
     assert doc["dim"] == 2
+    assert [r["stage"] for r in doc["restart_results"]] == [
+        o.stage for o in res.outcomes]
     mat = doc["best"]["rep"]["assign"]["x"]
     assert len(mat) == 2
     assert len(mat[0][0]) == 2  # re/im pair

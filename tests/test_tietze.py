@@ -674,6 +674,30 @@ def test_auto_simplify_no_redundancy(reg, corpus):
     assert drv.steps == ()
 
 
+def test_auto_simplify_searches_a_settled_relation_once(reg, monkeypatch):
+    # a has no certificate, b is half of c, c then has none and defines x:
+    # a is searched again only after x is removed, which substitutes y
+    # for x in its body
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\n  y : 1\nrelations:\n"
+        "  a : x x* - x* x\n  b : y - x\n  c : 2 y - 2 x\n", reg)
+    searched = []
+    inner = tietze.search_certificate
+
+    def counted(relations, target, gens, **kwargs):
+        searched.append(target)
+        return inner(relations, target, gens, **kwargs)
+    monkeypatch.setattr(tietze, "search_certificate", counted)
+    q, drv = tietze.auto_simplify(p, reg)
+    a, b, c = (r.body for r in p.relations)
+    y = gen_nf("y")
+    delrel, delgen = drv.steps
+    assert isinstance(delrel, RemoveRelations) and delrel.name == "b"
+    assert delgen == RemoveGenerators("x", "c")
+    assert searched == [a, b, c, y * star(y) - star(y) * y]
+    assert q.relations[0].body == searched[-1]
+
+
 # -- bridge -------------------------------------------------------------------
 
 def test_bridge_chain_example(reg, corpus):
