@@ -7,14 +7,15 @@ exponential).  On top of evaluation sit a seeded penalized feasibility
 search, a redundancy refuter, and a norm lower-bound witness search.
 Terms are compiled once into plans of complex coefficients and atoms,
 and evaluated on stacks of assignments.  A search runs all its restarts
-through one Levenberg-Marquardt with a damping per row: first with a
-reward row that pushes the reward term's norm up, if there is one, then
-on the relations and caps alone.  Only the restarts left infeasible run
-Adam from their own start points, and are polished again.  The
-gradient and the Jacobians are reverse mode through every atom, reusing
-the products of the forward pass: divided differences of the scalar
-function for spectral calls (Daleckii-Krein) and the Frechet derivative
-of the matrix exponential for entire ones.
+through one Levenberg-Marquardt with a damping per row, its only
+optimiser: first with a reward row that pushes the reward term's norm
+up, if there is one, then on the relations and caps alone.  Only the
+restarts left infeasible run it once more, without the reward row, from
+their own start points contracted towards 0.  The Jacobians are reverse
+mode through every atom, reusing the products of the forward pass:
+divided differences of the scalar function for spectral calls
+(Daleckii-Krein) and the Frechet derivative of the matrix exponential
+for entire ones.
 None of this is trusted by the symbolic kernel: a witness refutes, a
 failed search proves nothing.
 """
@@ -52,11 +53,12 @@ class EvalDiag:
 class SearchConfig:
     seed: int = 0
     restarts: int = 8
-    max_iters: int = 350  # Adam steps of a restart the polish leaves infeasible
+    # unused; kept only because bench/workloads.py passes it, until the
+    # bench's next change (ROADMAP item 9)
+    max_iters: int = 350
     tol_feas: ClassVar[float] = 1e-8  # feasible: every relation residual below
     tol_cap: ClassVar[float] = 1e-6   # feasible: every cap excess below
     penalty: ClassVar[float] = 10.0   # weight of a squared cap excess
-    lr: ClassVar[float] = 0.08        # Adam step size
     reward: ClassVar[float] = 0.05    # weight of the reward term's square
 
 
@@ -333,6 +335,7 @@ def _start(caps: list[float], d: int, seed: int, idx: int) -> np.ndarray:
 DD_STEP = 1e-6  # eigenvalue gap below which a divided difference is a derivative
 POLISH_ITERS = 300  # stacked Levenberg-Marquardt iterations of the polish
 LM_DAMPING = 1e-3  # starting Levenberg-Marquardt damping of every row
+RESCUE_SCALE = 0.1  # the rescue's start: a restart's own start times this
 
 
 def _divided_differences(g, vals: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -386,14 +389,12 @@ def _entire_pullback(sym: str, a: np.ndarray, bar: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """The penalized search objective of one presentation, compiled once.
+    """The search objective of one presentation, compiled once.
 
-    Maps a stack of parameter rows (R, n) to the objective of each row
-    and its gradient: squared relation residuals plus the penalized cap
-    excesses, minus the weighted square of the reward term's norm.  The
-    polish residuals with their Jacobian (`lsq`) and the final scores
-    run the same compiled plans.  `reward_bound` is the target of
-    `lsq`'s reward row.
+    `lsq` maps a stack of parameter rows to the residuals and Jacobians
+    that Levenberg-Marquardt minimizes; `score` runs the same compiled
+    plans for the final scores.  `reward_bound` is the target of `lsq`'s
+    reward row.
     """
 
     def __init__(self, p: Presentation, d: int, registry,
@@ -408,41 +409,6 @@ class _Objective:
                        _compile(reward_term, registry, p.flavor, calls))
         self.reward_bound = (None if reward_term is None else
                              _reward_bound(reward_term, p, d, registry))
-
-    def __call__(self, theta: np.ndarray):
-        rows = len(theta)
-        fwd = _Pass(_assign(theta, self.syms, self.d), self.d, rows)
-        penalty, reward_w = SearchConfig.penalty, SearchConfig.reward
-        taped = [fwd.eval(plan) for plan in self.bodies]
-        val = np.zeros(rows)
-        for m, _ in taped:
-            n = _frobenius(m)
-            val = val + n * n
-        svds = []
-        for s, cap in zip(self.syms, self.caps):
-            u, sv, vh = np.linalg.svd(fwd.assign[s])
-            exc = np.maximum(0.0, sv[:, 0] - cap)
-            val = val + penalty * exc * exc
-            svds.append((u, vh, exc))
-        if self.reward is not None:
-            qmat, qtape = fwd.eval(self.reward)
-            q = _frobenius(qmat)
-            val = val - reward_w * (q * q)
-        zero = np.zeros((rows, self.d, self.d), dtype=complex)
-        grads = {s: zero.copy() for s in self.syms}
-        for m, tape in taped:
-            fwd.backward(tape, m, grads)
-        for s, (u, vh, exc) in zip(self.syms, svds):
-            hit = exc > 0.0
-            if hit.any():
-                outer = u[hit][:, :, :1] * vh[hit][:, :1, :]
-                grads[s][hit] += (penalty * exc[hit])[:, None, None] * outer
-        if self.reward is not None:
-            rgr = {s: zero.copy() for s in self.syms}
-            fwd.backward(qtape, qmat, rgr)
-            for s in self.syms:
-                grads[s] -= reward_w * rgr[s]
-        return val, _flatten(grads, self.syms)
 
     def lsq(self, theta: np.ndarray, reward: bool = False):
         """Residuals (R, m) and their Jacobians (R, m, n) of a stack of rows
@@ -526,34 +492,15 @@ def _flatten(grads: dict, syms: list[str]) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def _adam(fun_grad, theta: np.ndarray, iters: int, lr: float) -> np.ndarray:
-    """Adam on a stack of start points, one row per restart; each row
-    keeps its own best iterate."""
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    b1, b2, eps = 0.9, 0.999, 1e-9
-    best, best_val = theta.copy(), np.full(len(theta), np.inf)
-    for k in range(1, iters + 1):
-        val, g = fun_grad(theta)
-        better = val < best_val
-        best[better] = theta[better]
-        best_val[better] = val[better]
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mh = m / (1 - b1 ** k)
-        vh = v / (1 - b2 ** k)
-        theta = theta - lr * mh / (np.sqrt(vh) + eps)
-    return best
-
-
 def _polish(objective: _Objective, theta: np.ndarray,
             reward: bool = False) -> np.ndarray:
     """Levenberg-Marquardt on `objective.lsq` (with its reward row when
     `reward`), every row of the stack at once, each with its own damping.
 
     A step solves (J^T J + lam tr(J^T J)/n I) delta = -J^T f.  A row
-    takes its trial point when the cost falls (then lam / 3) and keeps
-    its point otherwise (then lam * 4).  A row stops on a step below
+    takes its trial point when the cost is finite and falls (then
+    lam / 3) and keeps its point otherwise (then lam * 4), so a trial
+    that overflows is rejected quietly.  A row stops on a step below
     1e-15 of its norm, a relative cost drop below 1e-15, a zero cost, or
     a damping above 1e16."""
     theta = theta.copy()
@@ -576,9 +523,10 @@ def _polish(objective: _Objective, theta: np.ndarray,
                                -(jt @ f[idx][:, :, None]))[:, :, 0]
         x_norm = np.linalg.norm(theta[idx], axis=1)
         trial = theta[idx] + step
-        ft, jac_t = objective.lsq(trial, reward)
-        ct = np.sum(ft * ft, axis=1)
-        ok = ct < cost[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ft, jac_t = objective.lsq(trial, reward)
+            ct = np.sum(ft * ft, axis=1)
+        ok = np.isfinite(ct) & (ct < cost[idx])
         stalled = ok & (cost[idx] - ct <= 1e-15 * cost[idx])
         took = idx[ok]
         theta[took], f[took], jac[took], cost[took] = (
@@ -601,7 +549,7 @@ class RestartOutcome:
     rep: MatrixRep
     residuals: list    # each relation's residual, in relation order
     value: float | None  # operator norm of the reward term, if any
-    stage: str         # "lm", or "adam" for a restart Adam rescued
+    stage: str         # "lm", or "rescue" for a restart the rescue redid
 
 
 @dataclass
@@ -629,9 +577,10 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
     One Levenberg-Marquardt runs over the stack of all start points, with
     the reward row when there is a reward term, then the polish on the
     relations and caps alone, and one pass scores the stack.  The
-    restarts still infeasible run cfg.max_iters steps of Adam from their
-    own start points, are polished and scored again, and replace their
-    rows; their `stage` is "adam".
+    restarts still infeasible are rescued: the polish runs again, without
+    the reward row, from their own start points times RESCUE_SCALE, and
+    one pass scores the stack again.  They replace their rows; their
+    `stage` is "rescue".
 
     Raises ValueError unless d >= 1 and cfg.restarts >= 1, so that
     `refute_redundancy` and `norm_lower_bound` never report a search that
@@ -654,10 +603,9 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
     bad = [o.index for o in result.outcomes if not o.feasible]
     if not bad:
         return result
-    theta[bad] = _polish(objective, _adam(objective, start[bad],
-                                          cfg.max_iters, cfg.lr))
+    theta[bad] = _polish(objective, start[bad] * RESCUE_SCALE)
     for idx in bad:
-        stages[idx] = "adam"
+        stages[idx] = "rescue"
     return _scored(p, objective, theta, stages, cfg)
 
 

@@ -382,7 +382,7 @@ def test_criterion_7_kernel_property_suites(reg):
 
 def test_criterion_8_sandwich_on_corpus(corpus, reg):
     t0 = time.perf_counter()
-    cfg = SearchConfig(seed=0, restarts=3, max_iters=250)
+    cfg = SearchConfig(seed=0, restarts=3)
     checked = 0
     for path in sorted(corpus.glob("*.pres")):
         p = load_presentation(str(path), reg)

@@ -196,9 +196,13 @@ def _kink_free(rep, t, reg, gap=1e-3):
 
 
 def _assert_gradient_matches_fd(p, q, d, reg, seed, points=3):
+    """2 J^T f, the gradient of the reward stage's cost ||f||^2 that a
+    Levenberg-Marquardt step descends along, matches central differences
+    of that cost evaluated without any gradient code."""
     rng = np.random.default_rng(seed)
     syms = p.gens.names()
     bodies = [r.body for r in p.relations] + [q]
+    objective = repsearch._Objective(p, d, reg, q)
     checked = 0
     for _ in range(50 * points):
         theta = rng.standard_normal(2 * len(syms) * d * d) * 0.6
@@ -207,18 +211,11 @@ def _assert_gradient_matches_fd(p, q, d, reg, seed, points=3):
             continue
 
         def f(t):
-            # the search objective, evaluated without any gradient code
-            r = repsearch._unpack(t, syms, d, p.flavor)
-            val = sum(np.linalg.norm(eval_term(r, b, reg, strict_herm=False))
-                      ** 2 for b in bodies[:-1])
-            val += SearchConfig.penalty * sum(
-                max(0.0, op_norm(r.assign[s]) - float(p.gens.norm(s))) ** 2
-                for s in syms)
-            return val - SearchConfig.reward * np.linalg.norm(
-                eval_term(r, q, reg, strict_herm=False)) ** 2
+            r = _residuals(p, t, d, reg, q, objective.reward_bound)
+            return r @ r
 
-        _, grad = repsearch._Objective(p, d, reg, q)(theta[None])
-        grad = grad[0]
+        res, jac = objective.lsq(theta[None], True)
+        grad = 2 * jac[0].T @ res[0]
         fd = _fd_grad(f, theta)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad - fd) / denom < 1e-5
@@ -435,6 +432,17 @@ def test_call_reward_reaches_its_maximum(reg, tmp_path, text, want):
         assert lb == pytest.approx(want, rel=1e-6)
 
 
+def test_overflowing_trial_steps_are_rejected_quietly(reg, tmp_path):
+    # trial steps of the reward stage overflow expm here: each is rejected
+    # for its non-finite cost without a RuntimeWarning (an error under
+    # this suite's filterwarnings), and the bound is what it was before
+    p, ext = _call_reward_setup(reg, tmp_path)
+    q = parse_term("bump(x* x) + exp(x)", p.gens, ext, check_domains=False)
+    lb, rep = norm_lower_bound(p, q, 3, SearchConfig(seed=1), ext)
+    assert rep is not None
+    assert abs(lb - 51.00251258103864) <= 1e-9
+
+
 def test_polished_rows_equal_lone_rows(reg, corpus):
     # restart 0 of a stack of 4 is polished bit for bit as it is alone,
     # though the other rows accept, reject and stop at other iterations;
@@ -450,14 +458,11 @@ def test_polished_rows_equal_lone_rows(reg, corpus):
             assert np.array_equal(stacked[0], alone[0]), (path.name, reward)
 
 
-def test_two_projections_needs_no_adam(reg, corpus, monkeypatch):
-    # the reward row alone finds ||k|| = 1, where Adam's restart ended
-    # near 0
-    def no_adam(*args, **kwargs):
-        raise AssertionError("_adam called")
-    monkeypatch.setattr(repsearch, "_adam", no_adam)
+def test_two_projections_needs_no_rescue(reg, corpus):
+    # the reward row alone finds ||k|| = 1, where a gradient descent on
+    # the penalized objective from the same start ended near 0
     p = load_presentation(str(corpus / "two_projections.pres"), reg)
-    cfg = SearchConfig(seed=1, restarts=1, max_iters=250)
+    cfg = SearchConfig(seed=1, restarts=1)
     res = search_feasible(p, 2, cfg, reg, reward_term=gen_nf("k"))
     assert [o.stage for o in res.outcomes] == ["lm"]
     assert res.outcomes[0].feasible
@@ -465,41 +470,77 @@ def test_two_projections_needs_no_adam(reg, corpus, monkeypatch):
 
 
 @pytest.mark.parametrize("g", ["x", "y"])
-def test_adam_rescues_only_the_infeasible_rows(reg, corpus, monkeypatch, g):
+def test_rescue_runs_only_the_infeasible_rows(reg, corpus, monkeypatch, g):
     # norm_pitfall leaves every restart of x and some of y infeasible
-    # after the Levenberg-Marquardt stages; Adam runs from exactly those
-    # start points, and the rescued rows are bit for bit what Adam and
-    # the polish give on the whole stack
+    # after the Levenberg-Marquardt stages at seed 1.  The rescue
+    # polishes exactly those rows from their start points times
+    # RESCUE_SCALE, bit for bit as the polish of the whole contracted
+    # stack gives them, and every restart ends feasible
     p = load_presentation(str(corpus / "norm_pitfall.pres"), reg)
     q = gen_nf(g)
-    cfg = SearchConfig(seed=1, restarts=12)
-    objective = repsearch._Objective(p, 2, reg, q)
-    start = np.stack([repsearch._start(objective.caps, 2, cfg.seed, idx)
-                      for idx in range(cfg.restarts)])
-    lm = repsearch._polish(objective,
-                           repsearch._polish(objective, start, True))
-    left = [i for i, (res, excess, _) in enumerate(
-        objective.score(lm, EvalDiag()))
-        if not (max(res) < cfg.tol_feas and excess < cfg.tol_cap)]
-    assert left and (g == "x") == (len(left) == cfg.restarts)
-    seen = []
-    adam = repsearch._adam
+    for seed in (1, 9001):
+        cfg = SearchConfig(seed=seed, restarts=12)
+        objective = repsearch._Objective(p, 2, reg, q)
+        start = np.stack([repsearch._start(objective.caps, 2, seed, idx)
+                          for idx in range(cfg.restarts)])
+        lm = repsearch._polish(objective,
+                               repsearch._polish(objective, start, True))
+        left = [i for i, (res, excess, _) in enumerate(
+            objective.score(lm, EvalDiag()))
+            if not (max(res) < cfg.tol_feas and excess < cfg.tol_cap)]
+        assert left
+        if seed == 1:
+            assert (g == "x") == (len(left) == cfg.restarts)
+        seen = []
+        polish = repsearch._polish
 
-    def spy(fun_grad, theta, iters, lr):
-        seen.append(theta)
-        return adam(fun_grad, theta, iters, lr)
-    monkeypatch.setattr(repsearch, "_adam", spy)
-    res = search_feasible(p, 2, cfg, reg, reward_term=q)
-    assert len(seen) == 1 and np.array_equal(seen[0], start[left])
-    assert [o.index for o in res.outcomes if o.stage == "adam"] == left
-    assert all(o.feasible for o in res.outcomes if o.stage == "lm")
-    every = repsearch._polish(objective, adam(objective, start,
-                                              cfg.max_iters, cfg.lr))
-    for i in left:
-        want = repsearch._unpack(every[i], objective.syms, 2, p.flavor)
-        for s in objective.syms:
-            assert np.array_equal(res.outcomes[i].rep.assign[s],
-                                  want.assign[s])
+        def spy(objective, theta, reward=False):
+            seen.append(theta)
+            return polish(objective, theta, reward)
+        monkeypatch.setattr(repsearch, "_polish", spy)
+        res = search_feasible(p, 2, cfg, reg, reward_term=q)
+        monkeypatch.undo()
+        assert len(seen) == 3
+        assert np.array_equal(seen[2], start[left] * repsearch.RESCUE_SCALE)
+        assert [o.index for o in res.outcomes if o.stage == "rescue"] == left
+        assert len(res.feasible) == cfg.restarts, (seed, g)
+        every = polish(objective, start * repsearch.RESCUE_SCALE)
+        for i in left:
+            want = repsearch._unpack(every[i], objective.syms, 2, p.flavor)
+            for s in objective.syms:
+                assert np.array_equal(res.outcomes[i].rep.assign[s],
+                                      want.assign[s])
+
+
+# (presentation, reward generator, d, seed, feasible restarts of 8, lower
+# bound) as recorded with the Adam rescue: ten searches of the 210-search
+# grid in BENCH_21.json in which Adam rescued a restart
+RESCUE_GRID = [
+    ("norm_pitfall", "x", 2, 1, 5, 9.166249607295986e-39),
+    ("norm_pitfall", "x", 2, 9001, 7, 1.8300606986425738e-37),
+    ("norm_pitfall", "x", 3, 1, 7, 6.773160680717352e-39),
+    ("norm_pitfall", "x", 3, 9001, 3, 1.5297624413551368e-39),
+    ("norm_pitfall", "y", 2, 1, 8, 1.53209690143486e-39),
+    ("norm_pitfall", "y", 2, 9001, 8, 2.3114532136387662e-39),
+    ("norm_pitfall", "y", 3, 1, 8, 1.7989214506984033e-39),
+    ("norm_pitfall", "y", 3, 9001, 8, 6.87610188069359e-39),
+    ("left_invertible", "x", 2, 3, 8, 2.0000000000000067),
+    ("left_invertible", "x", 3, 2, 8, 2.000000000000001),
+]
+
+
+def test_rescue_loses_no_grid_search(reg, corpus):
+    # no search ends with fewer feasible restarts or a lower bound more
+    # than 1e-9 below the Adam rescue's; from a start scaled to 0 instead
+    # of by RESCUE_SCALE, both left_invertible searches lose a restart
+    pres = {name: load_presentation(str(corpus / (name + ".pres")), reg)
+            for name in ("norm_pitfall", "left_invertible")}
+    for name, g, d, seed, feasible, lb in RESCUE_GRID:
+        res = search_feasible(pres[name], d, SearchConfig(seed=seed), reg,
+                              reward_term=gen_nf(g))
+        got = max((o.value for o in res.feasible), default=0.0)
+        assert len(res.feasible) >= feasible, (name, g, d, seed)
+        assert got >= lb - 1e-9, (name, g, d, seed)
 
 
 def test_polish_stops_on_a_flat_jacobian(reg):
@@ -507,7 +548,7 @@ def test_polish_stops_on_a_flat_jacobian(reg):
     p = parse_presentation(
         "flavor: unital\ngenerators:\n  x : 1\nrelations:\n  one : 1\n",
         reg)
-    res = search_feasible(p, 2, SearchConfig(restarts=2, max_iters=5), reg)
+    res = search_feasible(p, 2, SearchConfig(restarts=2), reg)
     assert [o.residual for o in res.outcomes] == [2 ** 0.5] * 2
 
 
@@ -518,7 +559,7 @@ def test_search_makes_no_scipy_polish(reg, corpus, monkeypatch):
         raise AssertionError("least_squares called during a search")
     monkeypatch.setattr(scipy.optimize, "least_squares", no_least_squares)
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
-    res = search_feasible(p, 2, SearchConfig(restarts=2, max_iters=40), reg,
+    res = search_feasible(p, 2, SearchConfig(restarts=2), reg,
                           reward_term=gen_nf("x"))
     assert res.feasible
 
@@ -573,7 +614,7 @@ def test_search_sa_dim1(reg, corpus):
 
 def test_search_determinism(reg, corpus):
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
-    cfg = SearchConfig(restarts=3, max_iters=60)
+    cfg = SearchConfig(restarts=3)
     r1 = search_feasible(p, 2, cfg, reg)
     r2 = search_feasible(p, 2, cfg, reg)
     assert [o.residual for o in r1.outcomes] == [o.residual for o in r2.outcomes]
@@ -583,7 +624,7 @@ def test_search_determinism(reg, corpus):
 
 def test_search_determinism_with_calls(reg, corpus):
     p = load_presentation(str(corpus / "left_inv_end.pres"), reg)
-    cfg = SearchConfig(restarts=2, max_iters=60)
+    cfg = SearchConfig(restarts=2)
     r1 = search_feasible(p, 2, cfg, reg)
     r2 = search_feasible(p, 2, cfg, reg)
     assert [o.residual for o in r1.outcomes] == [o.residual for o in r2.outcomes]
@@ -604,38 +645,37 @@ def test_frobenius_is_bitwise_norm_per_slice():
             assert got.tolist() == want
 
 
-def _adam_residuals(p, reg, restarts=2, iters=60):
-    """Largest relation residual of each restart after the Adam stage of
-    a seed-0 search at d = 2, before any polish."""
+def _polish_residuals(p, reg, restarts=2):
+    """Largest relation residual of each restart after the plain polish
+    of a seed-0 search at d = 2, without the reward row."""
     objective = repsearch._Objective(p, 2, reg)
     theta = np.stack([repsearch._start(objective.caps, 2, 0, idx)
                       for idx in range(restarts)])
-    theta = repsearch._adam(objective, theta, iters, SearchConfig.lr)
+    theta = repsearch._polish(objective, theta)
     return [max(res) for res, _, _ in objective.score(theta, EvalDiag())]
 
 
 def test_call_free_search_trajectory_is_pinned(reg, corpus):
-    # residuals of the call-free Adam path, recorded before call atoms got
-    # an analytic gradient; the shared backward pass must reproduce them
-    # bit for bit
+    # residuals of the call-free polish from seed-0 starts; the
+    # evaluator, the Jacobian and the step rule must reproduce them bit
+    # for bit
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
-    assert _adam_residuals(p, reg) == [
-        0.010569778452497075, 0.022029814083569965]
+    assert _polish_residuals(p, reg) == [
+        3.297701775670868e-43, 7.89611415097174e-40]
 
 
 def test_call_search_trajectory_is_pinned(reg, corpus):
-    # residuals of a search through spectral calls, recorded while each
-    # restart still ran its own Adam; the batched one must reproduce them
-    # bit for bit
+    # residuals of a polish through spectral calls from seed-0 starts,
+    # reproduced bit for bit
     p = load_presentation(str(corpus / "left_inv_end.pres"), reg)
-    assert _adam_residuals(p, reg) == [
-        0.05419546542064029, 0.11986814865775657]
+    assert _polish_residuals(p, reg) == [
+        2.2402431910817026e-16, 2.26534634601851e-16]
 
 
 def test_search_scores_match_single_evaluations(reg, corpus):
     # the one scoring pass over all restarts gives, bit for bit, what
     # eval_term and op_norm give on each restart's rep alone
-    cfg = SearchConfig(restarts=3, max_iters=40)
+    cfg = SearchConfig(restarts=3)
     for path in sorted(corpus.glob("*.pres")):
         p = load_presentation(str(path), reg)
         names = p.gens.names()
@@ -658,7 +698,7 @@ def test_search_makes_no_second_evaluation(reg, corpus, monkeypatch):
         raise AssertionError("eval_term called during a search")
     monkeypatch.setattr(repsearch, "eval_term", no_eval)
     p = load_presentation(str(corpus / "left_inv_end.pres"), reg)
-    cfg = SearchConfig(restarts=2, max_iters=40)
+    cfg = SearchConfig(restarts=2)
     doc = result_to_json(p, search_feasible(p, 2, cfg, reg))
     assert list(doc["best"]["relation_residuals"]) == p.relation_names()
     q = gen_nf("u")
@@ -687,12 +727,12 @@ def test_batched_rows_equal_single_evaluations(reg):
     objective = repsearch._Objective(p, 2, reg, q)
     theta = np.random.default_rng(3).standard_normal((3, 16))
     theta[1] *= 0.3  # inside both caps; rows 0 and 2 pay the cap penalty
-    val, grad = objective(theta)
-    assert val.shape == (3,) and grad.shape == (3, 16)
+    res, jac = objective.lsq(theta, True)
+    assert res.shape == (3, 27) and jac.shape == (3, 27, 16)
     for i in range(3):
-        one_val, one_grad = objective(theta[i:i + 1])
-        assert val[i] == one_val[0]
-        assert np.array_equal(grad[i], one_grad[0])
+        one_res, one_jac = objective.lsq(theta[i:i + 1], True)
+        assert np.array_equal(res[i], one_res[0])
+        assert np.array_equal(jac[i], one_jac[0])
 
 
 def test_each_call_atom_evaluated_once_per_step(reg, monkeypatch):
@@ -709,7 +749,7 @@ def test_each_call_atom_evaluated_once_per_step(reg, monkeypatch):
         calls.append(a.shape)
         return eigh(a)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    objective(theta)
+    objective.lsq(theta, True)
     assert calls == [(2, 2, 2)] * 3
 
 
@@ -750,7 +790,7 @@ def test_norm_lower_bound_examples(reg, corpus):
 @pytest.mark.parametrize("d,restarts", [(0, 1), (-1, 1), (1, 0), (2, -1)])
 def test_search_size_below_one_is_value_error(reg, corpus, d, restarts):
     p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
-    cfg = SearchConfig(restarts=restarts, max_iters=5)
+    cfg = SearchConfig(restarts=restarts)
     x = gen_nf("x")
     for search in (lambda: search_feasible(p, d, cfg, reg),
                    lambda: norm_lower_bound(p, x, d, cfg, reg),
@@ -761,7 +801,7 @@ def test_search_size_below_one_is_value_error(reg, corpus, d, restarts):
 
 def test_result_json_schema(reg, corpus, schemas_dir):
     p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
-    res = search_feasible(p, 2, SearchConfig(restarts=2, max_iters=80), reg)
+    res = search_feasible(p, 2, SearchConfig(restarts=2), reg)
     doc = result_to_json(p, res)
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
