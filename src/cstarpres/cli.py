@@ -37,9 +37,13 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _registry_path(args) -> str | None:
+    return getattr(args, "registry", None) or os.environ.get(REGISTRY_ENV)
+
+
 def _load_registry(args):
     reg = builtin_registry()
-    path = getattr(args, "registry", None) or os.environ.get(REGISTRY_ENV)
+    path = _registry_path(args)
     if path:
         reg = load_registry_file(path, reg)
     return reg
@@ -70,6 +74,9 @@ def _search_config(args) -> repsearch.SearchConfig:
 
 def _write_manifest(args, command: str, inputs: list, config: dict,
                     reg, outcome: dict):
+    # a registry file defines functions and schemata the digest below
+    # only names, so its bytes are an input like any other
+    inputs = list(inputs) + [_registry_path(args)]
     manifest = {
         "command": command,
         "argv": sys.argv[1:],

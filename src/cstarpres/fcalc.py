@@ -4,9 +4,13 @@ Function symbols are spectral functions applied through the continuous
 functional calculus (p, sqrt, inv_lb, f_param, user piecewise
 polynomials) plus the entire functions exp/sin/cos.  Each symbol knows
 
-  * its exact values at exact scalars (used by the augmentation character),
-  * a sound range map on spectral intervals,
+  * a sound range map on spectral intervals, which clamps its argument
+    into the symbol's window as the scalar evaluator does,
   * a scalar evaluator and clamping window for numeric representations.
+
+The range map is the one exact definition of a symbol: its exact value
+at a real scalar (used by the augmentation character) is read off the
+range map on that point, and exists when that range is a rational point.
 
 Macros expand order sugar into plain relation bodies; lemma schemata are
 the trusted functional-calculus identities a derivation may cite.  A
@@ -89,7 +93,6 @@ class FunctionSymbol:
     n_params: int
     domain: str  # 'selfadjoint' | 'positive' | 'entire'
     range_on: Callable[[Ival, tuple[XS, ...]], Ival]
-    exact_value: Callable[[Coeff, tuple[XS, ...]], Coeff | None]
     scalar_fn: Callable[[float, tuple[float, ...]], float]
     domain_window: Callable[[tuple[XS, ...]], tuple[XS | None, XS | None]] = \
         lambda params: (None, None)
@@ -102,6 +105,20 @@ class FunctionSymbol:
         return (None if lo is None else float(lo),
                 None if hi is None else float(hi))
 
+    def exact_value(self, v: Coeff, params: tuple[XS, ...]) -> Coeff | None:
+        """f(v) when the range map on the point v is a rational point;
+        None for a non-real v, an irrational value, or a range map that
+        gives no point there (exp beyond 2^20 included)."""
+        if not v.is_real:
+            return None
+        try:
+            iv = self.range_on(Ival.point(XS(v.re)), params)
+        except OverflowError:
+            return None
+        if iv.lo.is_rational and iv.lo == iv.hi:
+            return Coeff(iv.lo.as_fraction())
+        return None
+
 
 def _p_range(iv: Ival, params) -> Ival:
     lo = iv.lo if iv.lo.sign() > 0 else XS(0)
@@ -109,23 +126,10 @@ def _p_range(iv: Ival, params) -> Ival:
     return Ival(lo, hi)
 
 
-def _p_exact(v: Coeff, params) -> Coeff | None:
-    if not v.is_real:
-        return None
-    return Coeff(v.re) if v.re > 0 else Coeff(0)
-
-
 def _sqrt_range(iv: Ival, params) -> Ival:
     lo = iv.lo.sqrt_outward(up=False) if iv.lo.sign() > 0 else XS(0)
     hi = XS(0) if iv.hi.sign() < 0 else iv.hi.sqrt_outward(up=True)
     return Ival(lo, hi)
-
-
-def _sqrt_exact(v: Coeff, params) -> Coeff | None:
-    if not v.is_real or v.re < 0:
-        return None
-    r = XS.sqrt_of(v.re)
-    return Coeff(r.as_fraction()) if r.is_rational else None
 
 
 def _inv_check(params: tuple[XS, ...]):
@@ -139,13 +143,6 @@ def _inv_range(iv: Ival, params) -> Ival:
     lo = iv.lo if iv.lo.cmp(m) > 0 else m
     hi = iv.hi if iv.hi.cmp(m) > 0 else m
     return Ival(hi.inverse(), lo.inverse())
-
-
-def _inv_exact(v: Coeff, params) -> Coeff | None:
-    (m,) = params
-    if not v.is_real or XS(v.re).cmp(m) < 0:
-        return None
-    return Coeff(1) / Coeff(v.re)
 
 
 def _fparam_breakpoint(lam: XS) -> XS:
@@ -167,35 +164,19 @@ def _fparam_g(nu: XS, s: XS) -> XS:
     return s * (one - nu) * (one - s).inverse()
 
 
+def _clamp_xs(x: XS, lo: XS, hi: XS) -> XS:
+    return lo if x.cmp(lo) < 0 else hi if x.cmp(hi) > 0 else x
+
+
 def _fparam_range(iv: Ival, params) -> Ival:
     (lam,) = params
     s = _fparam_breakpoint(lam)
-    lo = iv.lo if iv.lo.sign() > 0 else XS(0)
-    hi = iv.hi if iv.hi.cmp(XS(1)) < 0 else XS(1)
-    if hi.cmp(lo) < 0:
-        hi = lo
-    out: Ival | None = None
-    if lo.cmp(s) <= 0:
-        a = lo
-        b = hi if hi.cmp(s) <= 0 else s
-        out = Ival(a, b)
-    if hi.cmp(s) > 0:
-        a0 = lo if lo.cmp(s) > 0 else s
-        branch = Ival(_fparam_g(hi, s), _fparam_g(a0, s))
-        out = branch if out is None else out.hull(branch)
-    return out if out is not None else Ival(XS(0), s)
-
-
-def _fparam_exact(v: Coeff, params) -> Coeff | None:
-    (lam,) = params
-    if not v.is_real or v.re < 0 or v.re > 1:
-        return None
-    s = _fparam_breakpoint(lam)
-    x = XS(v.re)
-    if x.cmp(s) <= 0:
-        return Coeff(v.re)
-    g = _fparam_g(x, s)
-    return Coeff(g.as_fraction()) if g.is_rational else None
+    zero, one = XS(0), XS(1)
+    lo, hi = _clamp_xs(iv.lo, zero, one), _clamp_xs(iv.hi, zero, one)
+    if hi.cmp(s) <= 0:
+        return Ival(lo, hi)
+    branch = Ival(_fparam_g(hi, s), _fparam_g(lo if lo.cmp(s) > 0 else s, s))
+    return branch if lo.cmp(s) > 0 else Ival(lo, s).hull(branch)
 
 
 def _fparam_scalar(t: float, params: tuple[float, ...]) -> float:
@@ -214,18 +195,13 @@ def _exp_range(iv: Ival, params) -> Ival:
                 XS(_dyadic(exp_bounds(iv.hi.upper())[1], up=True)))
 
 
-def _trig_range(iv: Ival, params) -> Ival:
-    return Ival(XS(-1), XS(1))
-
-
-def _entire_exact(fn_name: str):
-    table = {"exp": Coeff(1), "sin": Coeff(0), "cos": Coeff(1)}
-
-    def exact(v: Coeff, params) -> Coeff | None:
-        if v.is_zero:
-            return table[fn_name]
-        return None
-    return exact
+def _trig_range(at_zero: int):
+    """[-1, 1], or the exact value on the point 0."""
+    def range_on(iv: Ival, params) -> Ival:
+        if iv.lo.sign() == 0 and iv.hi.sign() == 0:
+            return Ival.point(XS(at_zero))
+        return Ival(XS(-1), XS(1))
+    return range_on
 
 
 def _exp_majorant(nb: XS, params) -> XS:
@@ -235,31 +211,30 @@ def _exp_majorant(nb: XS, params) -> XS:
 def builtin_functions() -> dict[str, FunctionSymbol]:
     fns = {}
     fns["p"] = FunctionSymbol(
-        "p", 0, "selfadjoint", _p_range, _p_exact,
+        "p", 0, "selfadjoint", _p_range,
         lambda t, pr: max(t, 0.0))
     sqrt_sym = FunctionSymbol(
-        "sqrt", 0, "positive", _sqrt_range, _sqrt_exact,
+        "sqrt", 0, "positive", _sqrt_range,
         lambda t, pr: _math.sqrt(max(t, 0.0)),
         domain_window=lambda pr: (XS(0), None))
     fns["sqrt"] = sqrt_sym
     fns["inv_lb"] = FunctionSymbol(
-        "inv_lb", 1, "positive", _inv_range, _inv_exact,
+        "inv_lb", 1, "positive", _inv_range,
         lambda t, pr: 1.0 / max(t, pr[0]),
         domain_window=lambda pr: (pr[0], None),
         validate_params=_inv_check)
     fns["f_param"] = FunctionSymbol(
-        "f_param", 1, "positive", _fparam_range, _fparam_exact,
-        _fparam_scalar,
+        "f_param", 1, "positive", _fparam_range, _fparam_scalar,
         domain_window=lambda pr: (XS(0), XS(1)),
         validate_params=_fparam_check)
     fns["exp"] = FunctionSymbol(
-        "exp", 0, "entire", _exp_range, _entire_exact("exp"),
+        "exp", 0, "entire", _exp_range,
         lambda t, pr: _math.exp(t), norm_majorant=_exp_majorant)
     fns["sin"] = FunctionSymbol(
-        "sin", 0, "entire", _trig_range, _entire_exact("sin"),
+        "sin", 0, "entire", _trig_range(0),
         lambda t, pr: _math.sin(t), norm_majorant=_exp_majorant)
     fns["cos"] = FunctionSymbol(
-        "cos", 0, "entire", _trig_range, _entire_exact("cos"),
+        "cos", 0, "entire", _trig_range(1),
         lambda t, pr: _math.cos(t), norm_majorant=_exp_majorant)
     return fns
 
@@ -293,24 +268,15 @@ def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSym
     dom_lo, dom_hi = pieces[0].lo, pieces[-1].hi
 
     def range_fn(iv: Ival, params) -> Ival:
-        lo = max(dom_lo, iv.lo.lower())
-        hi = min(dom_hi, iv.hi.upper())
+        lo = min(max(dom_lo, iv.lo.lower()), dom_hi)
+        hi = max(min(dom_hi, iv.hi.upper()), dom_lo)
         out = None
         for pc in pieces:
             a, b = max(pc.lo, lo), min(pc.hi, hi)
-            if a > b:
-                continue
-            r = pc.range_on(a, b)
-            out = r if out is None else out.hull(r)
-        return out if out is not None else Ival.point(XS(pieces[0].eval_exact(dom_lo)))
-
-    def exact_fn(v: Coeff, params) -> Coeff | None:
-        if not v.is_real or v.re < dom_lo or v.re > dom_hi:
-            return None
-        for pc in pieces:
-            if pc.lo <= v.re <= pc.hi:
-                return Coeff(pc.eval_exact(v.re))
-        return None
+            if a <= b:
+                r = pc.range_on(a, b)
+                out = r if out is None else out.hull(r)
+        return out
 
     def scalar_fn(t: float, params) -> float:
         t = min(max(t, float(dom_lo)), float(dom_hi))
@@ -319,7 +285,7 @@ def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSym
                 return float(sum(float(c) * t ** k for k, c in enumerate(pc.coeffs)))
         return 0.0
 
-    return FunctionSymbol(name, 0, domain, range_fn, exact_fn, scalar_fn,
+    return FunctionSymbol(name, 0, domain, range_fn, scalar_fn,
                           domain_window=lambda pr: (XS(dom_lo), XS(dom_hi)))
 
 
@@ -527,11 +493,7 @@ def _rng_psd(rng, d, scale=1.0):
     return w @ w.conj().T
 
 
-def _s_sqrt_square(rng, d):
-    return {}, {"A": _rng_psd(rng, d)}
-
-
-def _s_positive(rng, d):
+def _s_psd(rng, d):
     return {}, {"A": _rng_psd(rng, d)}
 
 
@@ -564,26 +526,21 @@ def _s_projection_range(rng, d):
     return {}, {"Y": y, "P": _np_range_projection(y)}
 
 
-def _np_polar_u(x, mu):
-    import numpy as np
-    import scipy.linalg
-    h = scipy.linalg.sqrtm(x.conj().T @ x)
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    p_part = v @ np.diag(np.maximum(mu * w - 1, 0.0)) @ v.conj().T
-    return mu * x @ np.linalg.inv(p_part + np.eye(x.shape[0]))
-
-
 def _s_polar(rng, d):
     import numpy as np
+    import scipy.linalg
     mu = [XS(1), XS(2), XS(Fraction(1, 2))][rng.integers(0, 3)]
     muf = float(mu)
     v = _rng_unitary(rng, d)
     q = np.eye(d) / muf + _rng_psd(rng, d, 0.5)
     x = v @ q
-    u = _np_polar_u(x, muf)
-    import scipy.linalg
     qm = scipy.linalg.sqrtm(x.conj().T @ x)
-    return {"mu": mu, "m": XS(1)}, {"X": x, "U": u, "Q": (qm + qm.conj().T) / 2}
+    h = (qm + qm.conj().T) / 2
+    # the polar factor mu x (p(mu |x| - 1) + 1)^(-1)
+    w, vh = np.linalg.eigh(h)
+    p_part = vh @ np.diag(np.maximum(muf * w - 1, 0.0)) @ vh.conj().T
+    u = muf * x @ np.linalg.inv(p_part + np.eye(d))
+    return {"mu": mu, "m": XS(1)}, {"X": x, "U": u, "Q": h}
 
 
 def _s_polar_recovery(rng, d):
@@ -642,10 +599,10 @@ def builtin_schemata() -> dict[str, LemmaSchema]:
     def reg(name, tvars, svars, build, sampler, doc):
         out[name] = LemmaSchema(name, tvars, svars, build, sampler, doc)
 
-    reg("sqrt_square", ("A",), (), _b_sqrt_square, _s_sqrt_square,
+    reg("sqrt_square", ("A",), (), _b_sqrt_square, _s_psd,
         "sqrt(A)^2 = A for positive A")
     reg("positive_from_interval", ("A",), (), _b_positive_from_interval,
-        _s_positive,
+        _s_psd,
         "A >= 0 when a sound spectral enclosure of A stays nonnegative")
     reg("projection_from_idempotent_range", ("P", "Y"), (),
         _b_projection_range, _s_projection_range,

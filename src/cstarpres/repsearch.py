@@ -110,13 +110,10 @@ class _Call:
             raise EvalError("unknown function symbol %r" % atom.sym)
         self.sym = atom.sym
         self.entire = fn.domain == "entire"
+        # read only by EvalDiag.clamp: scalar_fn clamps into it itself
         self.window = fn.clamp_window(atom.params)
         params = tuple(float(p) for p in atom.params)
-        window = self.window
-
-        def scalar(t):
-            return fn.scalar_fn(float(_clamp(t, window)), params)
-        self.scalar = scalar
+        self.scalar = lambda t: fn.scalar_fn(float(t), params)
         self.arg = _compile(atom.arg, registry, flavor, calls)
 
 

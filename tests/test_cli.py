@@ -6,6 +6,7 @@ sees them.  Tests run chdir'ed into a temp dir because the default
 manifest path is relative to the working directory.
 """
 
+import hashlib
 import json
 import re
 
@@ -369,6 +370,77 @@ def test_manifest_empty_path_skips_write(capsys, corpus, tmp_path):
                      str(corpus / "self_adjoint.pres"), "--manifest", "")
     assert code == 0
     assert not (tmp_path / "run-manifest.json").exists()
+
+
+def test_registry_file_is_a_manifest_input(capsys, corpus, tmp_path,
+                                           monkeypatch, schemas_dir):
+    # two files whose bump differs in one coefficient share a registry
+    # digest, which names functions only; the manifest tells them apart
+    # by the file's own hash
+    pres = str(corpus / "self_adjoint.pres")
+    hashes = []
+    for coeff in ("1", "2"):
+        extra = tmp_path / ("bump%s.reg" % coeff)
+        extra.write_text("function bump:\n  piece 0 1 : 0 %s\n" % coeff)
+        want = hashlib.sha256(extra.read_bytes()).hexdigest()
+        digests = set()
+        for via_env in (False, True):
+            if via_env:
+                monkeypatch.setenv(REGISTRY_ENV, str(extra))
+                argv = ("parse", "-p", pres)
+            else:
+                monkeypatch.delenv(REGISTRY_ENV, raising=False)
+                argv = ("parse", "-p", pres, "--registry", str(extra))
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+            manifest = json.loads((tmp_path / "run-manifest.json").read_text())
+            jsonschema.validate(
+                manifest, load_schema(schemas_dir, "manifest.schema.json"))
+            assert manifest["inputs"][str(extra)] == want
+            digests.add(manifest["registry_digest"])
+        hashes.append((want, digests))
+    (h1, d1), (h2, d2) = hashes
+    assert h1 != h2 and d1 == d2 and len(d1) == 1
+
+
+def test_parse_prints_a_surd_cap_back(capsys, tmp_path):
+    (tmp_path / "q.pres").write_text(
+        "flavor: unital\ngenerators:\n  x : sqrt(2)\nrelations:\n"
+        "  r : x = x*\n")
+    code, out, _ = run(capsys, "parse", "-p", str(tmp_path / "q.pres"),
+                       "--manifest", "")
+    assert code == 0
+    assert "  x : sqrt(2)" in out.splitlines()
+
+
+def test_sqrt_coefficient_must_be_rational(capsys, tmp_path):
+    head = "flavor: unital\ngenerators:\n  x : 1\nrelations:\n"
+    (tmp_path / "c.pres").write_text(head + "  r : sqrt(9/4) x = x*\n")
+    code, out, _ = run(capsys, "parse", "-p", str(tmp_path / "c.pres"),
+                       "--manifest", "")
+    assert code == 0
+    assert out.splitlines()[-1] == "  r : 3/2 x - x*"
+    (tmp_path / "c2.pres").write_text(head + "  r : sqrt(2) x = x*\n")
+    code, out, err = run(capsys, "parse", "-p", str(tmp_path / "c2.pres"),
+                         "--manifest", "")
+    assert (code, out) == (2, "")
+    assert err == ("error: line 5: sqrt(2) is irrational and cannot be a "
+                   "coefficient\n")
+
+
+@pytest.mark.parametrize("body", ["exp(exp(x))", "exp(2097152 exp(x))"])
+def test_nonunital_augmentation_without_exact_value_is_exit_1(capsys,
+                                                              tmp_path, body):
+    # e^1 is irrational, and e^(2^21) is past exp's exact bounds: either
+    # way the augmentation is undetermined, not an input error
+    (tmp_path / "nu.pres").write_text(
+        "flavor: non-unital\ngenerators:\n  x : 1\nrelations:\n"
+        "  r : %s = 0\n" % body)
+    code, out, err = run(capsys, "validate", "-p", str(tmp_path / "nu.pres"),
+                         "--manifest", "")
+    assert (code, err) == (1, "")
+    assert out.strip() == ("relation r: augmentation undetermined in "
+                           "non-unital presentation")
 
 
 def test_registry_env_var(capsys, corpus, tmp_path, monkeypatch, reg):

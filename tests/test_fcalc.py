@@ -118,6 +118,90 @@ def test_exact_values_at_rationals(reg):
     assert reg.exact_value("exp", Coeff(Fraction(1)), ()) is None
 
 
+def _rand_q(rng, a: Fraction, b: Fraction) -> Fraction:
+    """A rational on a small grid of [a, b], its ends included."""
+    n = int(rng.choice([1, 2, 3, 4, 5, 8, 9, 16]))
+    return a + (b - a) * Fraction(int(rng.integers(0, n + 1)), n)
+
+
+def _rand_interval(rng, kind: str, lo: Fraction, hi: Fraction):
+    """An interval inside [lo, hi], straddling one or both of its ends,
+    or wholly below or above it."""
+    w = hi - lo
+    below, above = (lo - 2 * w, lo), (hi, hi + 2 * w)
+    if kind == "inside":
+        ends = [_rand_q(rng, lo, hi), _rand_q(rng, lo, hi)]
+    elif kind == "straddling":
+        a, b = [(below, (lo, hi)), (below, above), ((lo, hi), above)][
+            int(rng.integers(0, 3))]
+        ends = [_rand_q(rng, *a), _rand_q(rng, *b)]
+    else:
+        side = [below, above][int(rng.integers(0, 2))]
+        ends = [_rand_q(rng, *side), _rand_q(rng, *side)]
+    return min(ends), max(ends)
+
+
+def test_every_function_symbol_range_encloses_its_scalar_fn(reg, tmp_path):
+    """range_on encloses scalar_fn on intervals inside, straddling and
+    outside each symbol's window, and every exact value equals scalar_fn."""
+    path = tmp_path / "file.reg"
+    path.write_text("function bump:\n  piece 0 1 : 50 -100\n"
+                    "function hat:\n  piece -1 0 : 1 0 -1\n"
+                    "  piece 0 1 : 1 -2\n")
+    ext = load_registry_file(str(path), reg)
+    third = Fraction(1, 3)
+    # (symbol, params, window the intervals are drawn around)
+    cases = [("p", (), (0, 2)), ("sqrt", (), (0, 4)),
+             ("inv_lb", (XS(third),), (third, 3)),
+             ("f_param", (XS(2),), (0, 1)),
+             ("f_param", (XS(Fraction(5, 4)),), (0, 1)),
+             ("exp", (), (-3, 3)), ("sin", (), (-3, 3)),
+             ("cos", (), (-3, 3)), ("bump", (), (0, 1)),
+             ("hat", (), (-1, 1))]
+    rng = np.random.default_rng(2022)
+    for name, params, (wlo, whi) in cases:
+        fn = ext.function(name)
+        fparams = tuple(float(p) for p in params)
+        for k in range(150):
+            kind = ("inside", "straddling", "outside")[k % 3]
+            lo, hi = _rand_interval(rng, kind, Fraction(wlo), Fraction(whi))
+            iv = fn.range_on(Ival(XS(lo), XS(hi)), params)
+            for j in range(9):
+                t = lo + (hi - lo) * Fraction(j, 8)
+                v = fn.scalar_fn(float(t), fparams)
+                # the slack covers the float evaluation only
+                tol = Fraction(1e-9) * max(1, abs(Fraction(v)))
+                where = (name, params, kind, lo, hi, t, v, iv)
+                assert iv.lo.cmp(XS(Fraction(v) + tol)) <= 0, where
+                assert iv.hi.cmp(XS(Fraction(v) - tol)) >= 0, where
+                ev = fn.exact_value(Coeff(t), params)
+                if ev is not None:
+                    assert ev.im == 0 and abs(ev.re - Fraction(v)) <= tol, \
+                        (where, ev)
+
+
+def test_exact_values_outside_windows_are_clamped(reg, tmp_path):
+    # a point outside a symbol's window takes the value at the nearest
+    # end, as scalar_fn does
+    assert reg.exact_value("inv_lb", Coeff(0), (XS(1),)) == Coeff(1)
+    assert reg.exact_value("sqrt", Coeff(-1), ()) == Coeff(0)
+    for lam in (XS(2), XS(Fraction(5, 4))):
+        assert reg.exact_value("f_param", Coeff(2), (lam,)) == Coeff(0)
+        assert reg.exact_value("f_param", Coeff(-1), (lam,)) == Coeff(0)
+    assert reg.exact_value("sin", Coeff(0), ()) == Coeff(0)
+    assert reg.exact_value("cos", Coeff(0), ()) == Coeff(1)
+    assert reg.exact_value("sin", Coeff(1), ()) is None
+    assert reg.exact_value("exp", Coeff(0, 1), ()) is None
+    # exp above 2^20 has no exact bound, so no exact value either
+    assert reg.exact_value("exp", Coeff(2 ** 21), ()) is None
+    path = tmp_path / "bump.reg"
+    path.write_text("function bump:\n  piece 0 1 : 50 -100\n")
+    bump = load_registry_file(str(path), reg).function("bump")
+    assert bump.exact_value(Coeff(Fraction(5, 2)), ()) == Coeff(-50)
+    assert bump.exact_value(Coeff(-1), ()) == Coeff(50)
+    assert bump.range_on(Ival(XS(2), XS(3)), ()) == Ival.point(XS(-50))
+
+
 def test_macro_expansions_frozen(reg):
     g = NormedSet()
     g.add("x", XS(1))

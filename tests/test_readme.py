@@ -66,3 +66,19 @@ def test_readme_drv_example_passes_strict(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[-2:] == ["gaps: 0", "overall: PASS (end presentation matches)"]
+
+
+def test_readme_simplify_example_prints_its_moves(capsys, tmp_path,
+                                                  monkeypatch):
+    para = README[README.index("`simplify` prints"):]
+    para = para[:para.index("\n\n")]
+    relations = re.findall(r"`(\w+ : [^`]+)`", para)
+    moves, = re.findall(r"prints `(# moves: [^`]+)`", para)
+    assert len(relations) == 3
+    (tmp_path / "s.pres").write_text(
+        "flavor: unital\ngenerators:\n  x : 1\n  y : 1\nrelations:\n"
+        + "".join("  %s\n" % r for r in relations))
+    monkeypatch.chdir(tmp_path)
+    code = main(["simplify", "-p", "s.pres", "--manifest", ""])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == moves

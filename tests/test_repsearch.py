@@ -181,11 +181,10 @@ def _kink_free(rep, t, reg, gap=1e-3):
             fn = reg.function(atom.sym)
             if fn.domain == "entire":
                 continue
-            window = fn.clamp_window(atom.params)
             params = tuple(float(p) for p in atom.params)
 
             def g(v):
-                return fn.scalar_fn(float(repsearch._clamp(v, window)), params)
+                return fn.scalar_fn(float(v), params)
             a = eval_term(rep, atom.arg, reg, strict_herm=False)
             for v in np.linalg.eigvalsh((a + a.conj().T) / 2):
                 left = (g(v) - g(v - gap)) / gap
