@@ -191,8 +191,11 @@ def _fparam_scalar(t: float, params: tuple[float, ...]) -> float:
 
 
 def _exp_range(iv: Ival, params) -> Ival:
-    return Ival(XS(_dyadic(exp_bounds(iv.lo.lower())[0], up=False)),
-                XS(_dyadic(exp_bounds(iv.hi.upper())[1], up=True)))
+    a, b = iv.lo.lower(), iv.hi.upper()
+    lo, hi = exp_bounds(a)
+    if b != a:  # a rational point needs one series
+        hi = exp_bounds(b)[1]
+    return Ival(XS(_dyadic(lo, up=False)), XS(_dyadic(hi, up=True)))
 
 
 def _trig_range(at_zero: int):

@@ -11,8 +11,11 @@ through one Levenberg-Marquardt with a damping per row, its only
 optimiser: first with a reward row that pushes the reward term's norm
 up, if there is one, then on the relations and caps alone.  Only the
 restarts left infeasible run it once more, without the reward row, from
-their own start points contracted towards 0.  The Jacobians are reverse
-mode through every atom, reusing the products of the forward pass:
+their own start points contracted towards 0.  A cap enters LM as the
+distance of its generator to the cap ball, one row per singular value,
+and LM without the reward row stops a restart once it is feasible with
+a margin.  The Jacobians are reverse mode through every atom, reusing
+the products of the forward pass:
 divided differences of the scalar function for spectral calls
 (Daleckii-Krein) and the Frechet derivative of the matrix exponential
 for entire ones.
@@ -333,6 +336,8 @@ DD_STEP = 1e-6  # eigenvalue gap below which a divided difference is a derivativ
 POLISH_ITERS = 300  # stacked Levenberg-Marquardt iterations of the polish
 LM_DAMPING = 1e-3  # starting Levenberg-Marquardt damping of every row
 RESCUE_SCALE = 0.1  # the rescue's start: a restart's own start times this
+# without the reward row, LM stops a row at a cost of (FEAS_MARGIN tol_feas)^2
+FEAS_MARGIN = 1e-3
 
 
 def _divided_differences(g, vals: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -410,16 +415,21 @@ class _Objective:
     def lsq(self, theta: np.ndarray, reward: bool = False):
         """Residuals (R, m) and their Jacobians (R, m, n) of a stack of rows
         (R, n), from one pass: every relation's entries (real parts, then
-        imaginary parts), then each generator's cap excess weighted by
-        the square root of the penalty, then, with `reward`, the reward
-        row sqrt(w) (C - ||Q||_F), where Q is the reward term's value, C
-        is `reward_bound` and w the reward weight.
+        imaginary parts), then each generator's d cap rows, then, with
+        `reward`, the reward row sqrt(w) (C - ||Q||_F), where Q is the
+        reward term's value, C is `reward_bound` and w the reward weight.
+
+        Cap row k of generator X is sqrt(p) max(0, sigma_k - c), from
+        the k-th singular value of X, its cap c and the penalty p.  The
+        squares of X's cap rows sum to p ||X - clip_c(X)||_F^2, the
+        squared distance to the ball of radius c, which is C^1 where the
+        top singular value repeats and is not differentiable.
 
         A relation's rows take one backward pass whose upstream stacks
         the unit adjoints of its entries on a leading axis: E/2 for a
-        real part, iE/2 for an imaginary part.  A cap row is the weighted
-        derivative of the top singular value, u1 v1^H, where the cap is
-        exceeded and zero elsewhere.  The reward row's derivative is
+        real part, iE/2 for an imaginary part.  Cap row k's derivative
+        is sqrt(p)/2 u_k v_k^H where sigma_k exceeds the cap and zero
+        elsewhere.  The reward row's derivative is
         -sqrt(w) / (2 ||Q||_F) times the gradient of ||Q||_F^2, the
         backward pass of Q itself; zero where Q vanishes."""
         rows, d = len(theta), self.d
@@ -435,21 +445,24 @@ class _Objective:
             fwd.backward(tape, upstream, grads)
             jac.append(_flatten(grads, self.syms).swapaxes(0, 1))
         w = SearchConfig.penalty ** 0.5
-        zero = np.zeros((rows, d, d), dtype=complex)
+        zero = np.zeros((rows, d, d, d), dtype=complex)
         for s, cap in zip(self.syms, self.caps):
             u, sv, vh = np.linalg.svd(fwd.assign[s])
-            exc = np.maximum(0.0, sv[:, 0] - cap)
-            res.append(w * exc[:, None])
+            exc = np.maximum(0.0, sv - cap)
+            res.append(w * exc)
+            # outer[:, k] = u_k v_k^H, the derivative of sigma_k
+            outer = u.swapaxes(1, 2)[:, :, :, None] * vh[:, :, None, :]
             grads = dict.fromkeys(self.syms, zero)
-            grads[s] = np.where((exc > 0.0)[:, None, None],
-                                w / 2 * u[:, :, :1] * vh[:, None, 0], 0.0)
-            jac.append(_flatten(grads, self.syms)[:, None])
+            grads[s] = np.where((exc > 0.0)[:, :, None, None],
+                                w / 2 * outer, 0.0)
+            jac.append(_flatten(grads, self.syms))
         if reward:
             w = SearchConfig.reward ** 0.5
             q, tape = fwd.eval(self.reward)
             norm = _frobenius(q)
             res.append(w * (self.reward_bound - norm)[:, None])
-            grads = {s: zero.copy() for s in self.syms}
+            grads = {s: np.zeros((rows, d, d), dtype=complex)
+                     for s in self.syms}
             fwd.backward(tape, q, grads)
             scale = np.divide(-w / 2, norm, out=np.zeros(rows),
                               where=norm > 0.0)
@@ -499,13 +512,20 @@ def _polish(objective: _Objective, theta: np.ndarray,
     lam / 3) and keeps its point otherwise (then lam * 4), so a trial
     that overflows is rejected quietly.  A row stops on a step below
     1e-15 of its norm, a relative cost drop below 1e-15, a zero cost, or
-    a damping above 1e16."""
+    a damping above 1e16.
+
+    Without the reward row, a row also stops once its cost is at most
+    (FEAS_MARGIN tol_feas)^2: then every relation residual is at most
+    1e-11 and every cap excess at most 1e-11 / sqrt(penalty), so the row
+    scores feasible, and it would have scored feasible had it gone on,
+    since no step raises the cost."""
     theta = theta.copy()
     n = theta.shape[1]
     f, jac = objective.lsq(theta, reward)
     cost = np.sum(f * f, axis=1)
     lam = np.full(len(theta), LM_DAMPING)
-    active = cost > 0.0
+    floor = 0.0 if reward else (FEAS_MARGIN * SearchConfig.tol_feas) ** 2
+    active = cost > floor
     for _ in range(POLISH_ITERS):
         idx = np.flatnonzero(active)
         if not len(idx):
@@ -530,7 +550,7 @@ def _polish(objective: _Objective, theta: np.ndarray,
             trial[ok], ft[ok], jac_t[ok], ct[ok])
         lam[idx] = np.where(ok, np.maximum(lam[idx] / 3, 1e-12),
                             lam[idx] * 4)
-        active[idx[stalled | (cost[idx] == 0.0)
+        active[idx[stalled | (cost[idx] <= floor)
                    | (lam[idx] > 1e16)
                    | (np.linalg.norm(step, axis=1)
                       <= 1e-15 * (1e-15 + x_norm))]] = False

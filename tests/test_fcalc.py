@@ -118,6 +118,28 @@ def test_exact_values_at_rationals(reg):
     assert reg.exact_value("exp", Coeff(Fraction(1)), ()) is None
 
 
+def test_exp_range_on_a_rational_point_sums_one_series(reg, monkeypatch):
+    # the range is the one both ends' series give, bit for bit, and a
+    # rational point (whose value e^q is irrational unless q = 0) sums
+    # its series once
+    ex = reg.function("exp")
+    for iv in [Ival.point(XS(Fraction(1, 3))), Ival.point(XS(0)),
+               Ival.point(XS(-5)), Ival.point(XS(40)),
+               Ival.point(XS(0, 1, 2)), Ival(XS(-1), XS(Fraction(7, 2)))]:
+        want = (fcalc._dyadic(exp_bounds(iv.lo.lower())[0], up=False),
+                fcalc._dyadic(exp_bounds(iv.hi.upper())[1], up=True))
+        got = ex.range_on(iv, ())
+        assert (got.lo, got.hi) == (XS(want[0]), XS(want[1])), iv
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return exp_bounds(x)
+    monkeypatch.setattr(fcalc, "exp_bounds", counted)
+    assert reg.exact_value("exp", Coeff(Fraction(1, 3)), ()) is None
+    assert calls == [Fraction(1, 3)]
+
+
 def _rand_q(rng, a: Fraction, b: Fraction) -> Fraction:
     """A rational on a small grid of [a, b], its ends included."""
     n = int(rng.choice([1, 2, 3, 4, 5, 8, 9, 16]))

@@ -262,18 +262,19 @@ def test_gradient_through_non_hermitian_call_argument(reg):
 
 def _residuals(p, theta, d, reg, q=None, bound=None):
     """The polish residual of one parameter row, evaluated without any
-    gradient code: each relation's real then imaginary entries, then
-    each generator's cap excess weighted by the square root of the
-    penalty, then, given a reward term q, the reward row
-    sqrt(reward) (bound - ||q||_F)."""
+    gradient code: each relation's real then imaginary entries, then,
+    per generator, the excess of each of its singular values over its
+    cap weighted by the square root of the penalty, then, given a reward
+    term q, the reward row sqrt(reward) (bound - ||q||_F)."""
     rep = repsearch._unpack(theta, p.gens.names(), d, p.flavor)
     parts = []
     for r in p.relations:
         m = eval_term(rep, r.body, reg, strict_herm=False)
         parts += [m.real.ravel(), m.imag.ravel()]
     w = SearchConfig.penalty ** 0.5
-    parts.append([w * max(0.0, op_norm(rep.assign[s]) - float(p.gens.norm(s)))
-                  for s in p.gens.names()])
+    for s in p.gens.names():
+        sv = np.linalg.svd(rep.assign[s], compute_uv=False)
+        parts.append(w * np.maximum(0.0, sv - float(p.gens.norm(s))))
     if q is not None:
         parts.append([SearchConfig.reward ** 0.5 * (bound - np.linalg.norm(
             eval_term(rep, q, reg, strict_herm=False)))])
@@ -364,6 +365,54 @@ def test_jacobian_through_calls_matches_finite_differences(reg, body):
     _assert_jacobian_matches_fd(p, 3, reg, seed=11, q=q)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_cap_rows_measure_the_distance_to_the_cap_ball(reg, corpus, d):
+    # the squares of a generator's cap rows sum to p ||X - clip_c(X)||_F^2,
+    # clip_c clipping the singular values of X at its cap c
+    rng = np.random.default_rng(d)
+    for path in sorted(corpus.glob("*.pres")):
+        p = load_presentation(str(path), reg)
+        objective = repsearch._Objective(p, d, reg)
+        syms, caps = objective.syms, objective.caps
+        theta = rng.standard_normal((6, 2 * len(syms) * d * d))
+        theta *= rng.uniform(0.1, 2.0, (6, 1))
+        f, _ = objective.lsq(theta)
+        first = 2 * d * d * len(p.relations)
+        rows = f[:, first:].reshape(len(theta), len(syms), d)
+        for i, th in enumerate(theta):
+            rep = repsearch._unpack(th, syms, d, p.flavor)
+            for k, (s, c) in enumerate(zip(syms, caps)):
+                u, sv, vh = np.linalg.svd(rep.assign[s])
+                clipped = (u * np.minimum(sv, c)) @ vh
+                want = SearchConfig.penalty * np.linalg.norm(
+                    rep.assign[s] - clipped) ** 2
+                # inside the ball, X - clipped is rounding of order 1e-16 ||X||
+                noise = 1e-24 * (1 + np.linalg.norm(rep.assign[s]) ** 2)
+                got = rows[i, k] @ rows[i, k]
+                assert got == pytest.approx(want, rel=1e-12, abs=noise)
+
+
+@pytest.mark.parametrize("x", [np.diag([1.0, -1.0]),
+                               np.array([[0.0, 1.0], [1.0, 0.0]])],
+                         ids=["diagonal", "swap"])
+def test_cap_gradient_at_a_repeated_top_singular_value(reg, x):
+    # at 3/2 times a self-adjoint unitary both singular values are 3/2,
+    # above the cap 1: sigma_1 is not differentiable there, but the
+    # squared distance to the cap ball is, and 2 J^T f is its gradient.
+    # With one cap row, u1 v1^H, the relative error was 0.71
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\nrelations:\n", reg)
+    theta = np.concatenate([1.5 * x.ravel(), np.zeros(4)])
+    res, jac = repsearch._Objective(p, 2, reg).lsq(theta[None])
+    grad = 2 * jac[0].T @ res[0]
+
+    def cost(t):
+        r = _residuals(p, t, 2, reg)
+        return r @ r
+    fd = _fd_grad(cost, theta)
+    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-7
+
+
 BUMP_REGISTRY = "function bump:\n  domain selfadjoint\n  piece 0 1 : 50 -100\n"
 
 
@@ -434,12 +483,13 @@ def test_call_reward_reaches_its_maximum(reg, tmp_path, text, want):
 def test_overflowing_trial_steps_are_rejected_quietly(reg, tmp_path):
     # trial steps of the reward stage overflow expm here: each is rejected
     # for its non-finite cost without a RuntimeWarning (an error under
-    # this suite's filterwarnings), and the bound is what it was before
+    # this suite's filterwarnings), and the bound reaches the maximum of
+    # 50 - 100 t^2 + e^t on [-1, 1], at t = 0.0050252
     p, ext = _call_reward_setup(reg, tmp_path)
     q = parse_term("bump(x* x) + exp(x)", p.gens, ext, check_domains=False)
     lb, rep = norm_lower_bound(p, q, 3, SearchConfig(seed=1), ext)
     assert rep is not None
-    assert abs(lb - 51.00251258103864) <= 1e-9
+    assert abs(lb - 51.00251258399005) <= 1e-12
 
 
 def test_polished_rows_equal_lone_rows(reg, corpus):
@@ -540,6 +590,81 @@ def test_rescue_loses_no_grid_search(reg, corpus):
         got = max((o.value for o in res.feasible), default=0.0)
         assert len(res.feasible) >= feasible, (name, g, d, seed)
         assert got >= lb - 1e-9, (name, g, d, seed)
+
+
+def test_rows_stopped_under_the_margin_score_feasible(reg, corpus,
+                                                      monkeypatch):
+    # the polish and the rescue's polish stop a row once its cost is at
+    # most (FEAS_MARGIN tol_feas)^2.  Every such row scores feasible, with
+    # its relation residuals and weighted cap excesses under that margin,
+    # and the rule changes no row's feasibility flag from what the polish
+    # gives without it
+    margin = repsearch.FEAS_MARGIN * SearchConfig.tol_feas
+    w = SearchConfig.penalty ** 0.5
+    stopped = 0
+    for path in sorted(corpus.glob("*.pres")):
+        p = load_presentation(str(path), reg)
+        objective = repsearch._Objective(p, 2, reg, gen_nf(p.gens.names()[0]))
+        for seed in (1, 9001):
+            start = np.stack([repsearch._start(objective.caps, 2, seed, idx)
+                              for idx in range(12)])
+            lm = repsearch._polish(objective, start, True)
+            starts = (lm, start * repsearch.RESCUE_SCALE)
+            for theta in starts:
+                ends = []
+                for scale in (repsearch.FEAS_MARGIN, 0.0):
+                    monkeypatch.setattr(repsearch, "FEAS_MARGIN", scale)
+                    ends.append(repsearch._polish(objective, theta))
+                monkeypatch.undo()
+                flags = [[max(res, default=0.0) < SearchConfig.tol_feas
+                          and excess < SearchConfig.tol_cap
+                          for res, excess, _ in objective.score(end,
+                                                                EvalDiag())]
+                         for end in ends]
+                assert flags[0] == flags[1], (path.name, seed)
+                f, _ = objective.lsq(ends[0])
+                under = np.flatnonzero(np.sum(f * f, axis=1) <= margin ** 2)
+                if not len(under):
+                    continue
+                for res, excess, _ in objective.score(ends[0][under],
+                                                      EvalDiag()):
+                    assert max(res, default=0.0) <= margin * (1 + 1e-9)
+                    assert w * excess <= margin * (1 + 1e-9)
+                stopped += len(under)
+    assert stopped >= 400  # of 432 rows
+
+
+def _lsq_calls(monkeypatch, p, q, reg):
+    """Search p with reward q at d = 2, seed 1 and 12 restarts, counting
+    `lsq` calls with and without the reward row."""
+    counts = {True: 0, False: 0}
+    lsq = repsearch._Objective.lsq
+
+    def counted(self, theta, reward=False):
+        counts[reward] += 1
+        return lsq(self, theta, reward)
+    monkeypatch.setattr(repsearch._Objective, "lsq", counted)
+    res = search_feasible(p, 2, SearchConfig(seed=1, restarts=12), reg,
+                          reward_term=q)
+    monkeypatch.undo()
+    assert len(res.feasible) == 12
+    assert all(o.stage == "lm" for o in res.outcomes)
+    return counts
+
+
+def test_reward_stage_crosses_a_repeated_singular_value(reg, corpus,
+                                                       monkeypatch):
+    # the reward drives x towards a self-adjoint unitary, where sigma_1
+    # repeats; with one cap row on sigma_1 the stage took 178 calls
+    p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
+    assert _lsq_calls(monkeypatch, p, gen_nf("x"), reg)[True] <= 60
+
+
+def test_polish_stops_once_feasible_with_margin(reg, corpus, monkeypatch):
+    # without the margin the polish took 97 calls, going on long after
+    # every row was feasible
+    p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
+    assert _lsq_calls(monkeypatch, p, gen_nf("x"), reg)[False] <= 40
 
 
 def test_polish_stops_on_a_flat_jacobian(reg):
@@ -660,7 +785,7 @@ def test_call_free_search_trajectory_is_pinned(reg, corpus):
     # for bit
     p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
     assert _polish_residuals(p, reg) == [
-        3.297701775670868e-43, 7.89611415097174e-40]
+        6.789689334677435e-17, 1.6257432927352014e-13]
 
 
 def test_call_search_trajectory_is_pinned(reg, corpus):
@@ -668,7 +793,7 @@ def test_call_search_trajectory_is_pinned(reg, corpus):
     # reproduced bit for bit
     p = load_presentation(str(corpus / "left_inv_end.pres"), reg)
     assert _polish_residuals(p, reg) == [
-        2.2402431910817026e-16, 2.26534634601851e-16]
+        2.0722666188698097e-16, 1.2421719907130696e-15]
 
 
 def test_search_scores_match_single_evaluations(reg, corpus):
@@ -727,7 +852,7 @@ def test_batched_rows_equal_single_evaluations(reg):
     theta = np.random.default_rng(3).standard_normal((3, 16))
     theta[1] *= 0.3  # inside both caps; rows 0 and 2 pay the cap penalty
     res, jac = objective.lsq(theta, True)
-    assert res.shape == (3, 27) and jac.shape == (3, 27, 16)
+    assert res.shape == (3, 29) and jac.shape == (3, 29, 16)
     for i in range(3):
         one_res, one_jac = objective.lsq(theta[i:i + 1], True)
         assert np.array_equal(res[i], one_res[0])
