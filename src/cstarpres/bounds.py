@@ -110,8 +110,7 @@ class Context:
         self.registry = registry
         self.sa: set[str] = set()
         self.caps: dict[str, XS] = {s: gens.norm(s) for s in gens}
-        self.sym_ival: dict[str, Ival] = {}
-        self.elem_facts: dict[NF, Ival] = {}
+        self.facts: dict[NF, Ival] = {}
         self.version = 0
         self.rounds = 0
         self.converged = True
@@ -133,24 +132,31 @@ class Context:
     def declare_sa(self, s: str):
         if s not in self.sa:
             self.sa.add(s)
+            # re-key under the new normalisation, merging keys it joins
+            facts, self.facts = self.facts, {}
+            for key, iv in facts.items():
+                self.add_fact(key, iv)
             self._changed()
 
-    def tighten_sym(self, s: str, iv: Ival):
-        old = self.sym_ival.get(s)
-        cur = Ival.sym(self.caps[s]) if old is None else old
-        got = cur.intersect(iv)
-        if got is not None:
-            self.sym_ival[s] = got
-            if got != old:
-                self._changed()
-
-    def add_elem_fact(self, key: NF, iv: Ival):
-        old = self.elem_facts.get(key)
+    def add_fact(self, t: NF, iv: Ival):
+        """Record that the spectrum of t lies in iv.  `facts` keys it by
+        t's sa-normalised non-scalar part, so a term finds it by one lookup;
+        iv is shifted to match and intersected with any fact held there.
+        A t with a non-real scalar part is not self-adjoint, and its key
+        need not be either, so such a fact is not kept."""
+        t = sa_normalize(t, self)
+        c0 = t.scalar_part()
+        if not c0.is_real:
+            return
+        if not c0.is_zero:
+            t = t - c0
+            iv = iv.shift(XS(-c0.re))
+        old = self.facts.get(t)
         if old is not None:
             iv = old.intersect(iv)
             if iv is None or iv == old:
                 return
-        self.elem_facts[key] = iv
+        self.facts[t] = iv
         self._changed()
 
 
@@ -314,9 +320,9 @@ def _mono_interval(m: Monomial, ctx: Context) -> Ival:
     if len(m) == 1:
         a = m[0]
         if a.kind == GEN:
-            cap = ctx.cap(a.sym)
-            iv = ctx.sym_ival.get(a.sym, Ival.sym(cap))
-            got = iv.intersect(Ival.sym(cap))
+            cap = Ival.sym(ctx.cap(a.sym))
+            iv = ctx.facts.get(gen_nf(a.sym)) if ctx.facts else None
+            got = cap if iv is None else iv.intersect(cap)
             return got if got is not None else iv
         if a.kind == CALL:
             fn = ctx.registry.function(a.sym)
@@ -360,17 +366,13 @@ def _interval(t: NF, ctx: Context) -> Ival:
     if not c0.is_real:
         return out
     c0x = XS(c0.re)
-    body = t - c0
+    body = t if c0.is_zero else t - c0
 
-    # element facts, up to a scalar shift; a key was normalised when its
-    # fact was absorbed, and symbols declared self-adjoint since then
-    # must be normalised here too
-    for key, iv in ctx.elem_facts.items():
-        diff = (t - sa_normalize(key, ctx)).as_scalar()
-        if diff is not None and diff.is_real:
-            got = out.intersect(iv.shift(XS(diff.re)))
-            if got is not None:
-                out = got
+    iv = ctx.facts.get(body) if ctx.facts else None
+    if iv is not None:
+        got = out.intersect(iv.shift(c0x))
+        if got is not None:
+            out = got
 
     if body.is_zero:
         got = out.intersect(Ival.point(c0x))
@@ -430,12 +432,12 @@ def _absorb_relation(body: NF, ctx: Context):
             ctx.tighten_cap(s, norm_bound(t, ctx))
             if is_sa_mod(t, ctx):
                 ctx.declare_sa(s)
-                ctx.tighten_sym(s, interval(t, ctx))
+                ctx.add_fact(gen_nf(s), interval(t, ctx))
         elif t == adj_nf(s):
             ctx.declare_sa(s)
         elif s in ctx.sa and t == gen_nf(s) * gen_nf(s):
             ctx.tighten_cap(s, XS(1))
-            ctx.tighten_sym(s, Ival(XS(0), XS(1)))
+            ctx.add_fact(gen_nf(s), Ival(XS(0), XS(1)))
 
     # s*s - 1 or s s* - 1 : cap(s) <= 1
     pair = list(body.items())
@@ -449,7 +451,7 @@ def _absorb_relation(body: NF, ctx: Context):
     # order-macro shape: body = c*(a - p((a + a*)/2)), giving a >= 0
     for _, a in geq_operands(body):
         nb = norm_bound(a, ctx)
-        ctx.add_elem_fact(sa_normalize(a, ctx), Ival(XS(0), nb))
+        ctx.add_fact(a, Ival(XS(0), nb))
         # affine in one generator: alpha*s + beta*1 >= 0 pins the symbol
         mono = [(m, cc) for m, cc in a.items() if m != UNIT]
         if len(mono) == 1:
@@ -460,7 +462,7 @@ def _absorb_relation(body: NF, ctx: Context):
                 s = mm[0].sym
                 ctx.declare_sa(s)
                 iv = Ival(XS(0), nb).shift(XS(-beta.re)).scale(XS(1 / alpha.re))
-                ctx.tighten_sym(s, iv)
+                ctx.add_fact(gen_nf(s), iv)
 
 
 def context_from_relations(gens: NormedSet, registry,

@@ -73,9 +73,9 @@ def _search_config(args) -> repsearch.SearchConfig:
 
 
 def _write_manifest(args, command: str, inputs: list, config: dict,
-                    reg, outcome: dict):
-    # a registry file defines functions and schemata the digest below
-    # only names, so its bytes are an input like any other
+                    outcome: dict):
+    # a registry file defines functions and schemata, so its bytes are an
+    # input like any other
     inputs = list(inputs) + [_registry_path(args)]
     manifest = {
         "command": command,
@@ -83,7 +83,6 @@ def _write_manifest(args, command: str, inputs: list, config: dict,
         "inputs": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
         "config": config,
         "tool_version": __version__,
-        "registry_digest": reg.digest(),
         "outcome": outcome,
     }
     path = args.manifest
@@ -108,7 +107,7 @@ def _cmd_parse(args, reg) -> int:
     p = _need_presentation(args, reg)
     text = canonical_print(p)
     _emit(args, text.rstrip("\n"), to_json_dict(p))
-    _write_manifest(args, "parse", [args.presentation], {}, reg,
+    _write_manifest(args, "parse", [args.presentation], {},
                     {"generators": len(p.gens.names()),
                      "relations": len(p.relations)})
     return 0
@@ -119,21 +118,19 @@ def _cmd_validate(args, reg) -> int:
     diags = validate(p, reg)
     payload = {"diagnostics": diags, "ok": not diags}
     _emit(args, "\n".join(diags) if diags else "ok", payload)
-    _write_manifest(args, "validate", [args.presentation], {}, reg, payload)
+    _write_manifest(args, "validate", [args.presentation], {}, payload)
     return 1 if diags else 0
 
 
 def _cmd_check(args, reg) -> int:
-    reg_check = _check_registry(reg, args)
     mode = _mode(args)
     report, labels, script = scripts.check_script(
-        args.derivation, mode, reg_check, build_registry=reg)
+        args.derivation, mode, _check_registry(reg, args), build_registry=reg)
     payload = scripts.report_to_json(report, labels)
     _emit(args, scripts.render_report(report, labels), payload)
     _write_manifest(args, "check", [args.derivation, script.start_path,
                                     script.end_path],
                     {"mode": mode, "no_schemas": bool(args.no_schemas)},
-                    reg_check,
                     {"overall": report.overall,
                      "gap_count": report.gap_count})
     return 0 if report.overall == "PASS" else 1
@@ -151,7 +148,7 @@ def _cmd_simplify(args, reg) -> int:
     payload = {"presentation": to_json_dict(result), "moves": moves}
     _emit(args, text, payload)
     _write_manifest(args, "simplify", [args.presentation],
-                    {"degree": args.degree}, reg, {"moves": len(moves)})
+                    {"degree": args.degree}, {"moves": len(moves)})
     return 0
 
 
@@ -161,7 +158,7 @@ def _cmd_split(args, reg) -> int:
     blocks = [canonical_print(f).rstrip("\n") for f in factors]
     payload = {"factors": [to_json_dict(f) for f in factors]}
     _emit(args, ("\n" + "-" * 8 + "\n").join(blocks), payload)
-    _write_manifest(args, "split", [args.presentation], {}, reg,
+    _write_manifest(args, "split", [args.presentation], {},
                     {"factors": len(factors)})
     return 0
 
@@ -170,7 +167,7 @@ def _cmd_unitize(args, reg) -> int:
     p = _need_presentation(args, reg)
     u = unitize(p, reg)
     _emit(args, canonical_print(u).rstrip("\n"), to_json_dict(u))
-    _write_manifest(args, "unitize", [args.presentation], {}, reg,
+    _write_manifest(args, "unitize", [args.presentation], {},
                     {"flavor": u.flavor})
     return 0
 
@@ -183,7 +180,7 @@ def _cmd_normbound(args, reg) -> int:
     payload = {"term": args.term, "upper_bound": str(ub),
                "upper_bound_float": float(ub)}
     _emit(args, "norm upper bound: %s (~ %.6g)" % (ub, float(ub)), payload)
-    _write_manifest(args, "normbound", [args.presentation], {}, reg, payload)
+    _write_manifest(args, "normbound", [args.presentation], {}, payload)
     return 0
 
 
@@ -200,7 +197,7 @@ def _cmd_repsearch(args, reg) -> int:
     _emit(args, text, payload)
     _write_manifest(args, "repsearch", [args.presentation],
                     {"dim": args.dim, "seed": cfg.seed,
-                     "restarts": cfg.restarts}, reg,
+                     "restarts": cfg.restarts},
                     {"best_residual": best.residual,
                      "feasible": best.feasible})
     return 0 if result.feasible else 1
@@ -227,7 +224,7 @@ def _cmd_refute(args, reg) -> int:
         code = 0
     _write_manifest(args, "refute", [args.presentation],
                     {"dim": args.dim, "seed": cfg.seed,
-                     "restarts": cfg.restarts}, reg, outcome)
+                     "restarts": cfg.restarts}, outcome)
     return code
 
 
@@ -244,7 +241,7 @@ def _cmd_lowerbound(args, reg) -> int:
     _emit(args, "norm in [%.6g, %s]" % (value, ub), payload)
     _write_manifest(args, "lowerbound", [args.presentation],
                     {"dim": args.dim, "seed": cfg.seed,
-                     "restarts": cfg.restarts}, reg,
+                     "restarts": cfg.restarts},
                     {"lower_bound": value})
     return 0
 
@@ -255,7 +252,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="workbench for C*-algebra presentations: exact terms, "
                     "checkable moves, representation search")
     ap.add_argument("--version", action="store_true",
-                    help="print tool version and registry digest")
+                    help="print tool version")
     sub = ap.add_subparsers(dest="command")
 
     def common(sp, presentation=True, search=False):
@@ -336,8 +333,7 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     if args.version:
-        reg = builtin_registry()
-        print("cstarpres %s (registry %s)" % (__version__, reg.digest()))
+        print("cstarpres %s" % __version__)
         return 0
     if not args.command:
         ap.print_usage(sys.stderr)

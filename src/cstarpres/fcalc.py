@@ -22,7 +22,6 @@ matrix instantiations.
 
 from __future__ import annotations
 
-import hashlib
 import math as _math
 import re
 from dataclasses import dataclass, field
@@ -650,17 +649,6 @@ class Registry:
 
     def without_schemata(self) -> "Registry":
         return Registry(self.functions, {})
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.functions):
-            f = self.functions[name]
-            h.update(("fn:%s/%d/%s;" % (name, f.n_params, f.domain)).encode())
-        for name in sorted(self.schemata):
-            s = self.schemata[name]
-            h.update(("schema:%s/%s/%s;" % (name, ",".join(s.term_vars),
-                                            ",".join(s.scalar_vars))).encode())
-        return h.hexdigest()[:16]
 
 
 _BUILTIN: Registry | None = None

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .exact import XS, Coeff
 from .terms import (ADJ, NF, Atom, GEN, Monomial, NormedSet, UNIT, atom_key,
                     gen_nf, match_geq_body, nf_coerce, solve_for, star,
-                    substitute, monomial_key, valid_ident)
+                    substitute, valid_ident)
 from .presentation import (Presentation, Relation, _fresh, join,
                            relation_problems, structural_equal)
 from . import bounds
@@ -162,19 +162,9 @@ class BudgetExhausted:
                 % (self.budget, self.searched_degree))
 
 
-def _words_upto(gens: NormedSet, degree: int) -> list[Monomial]:
-    atoms = []
-    for s in gens.names():
-        atoms.append(Atom(GEN, s))
-        atoms.append(Atom(ADJ, s))
-    sym_index = {s: i for i, s in enumerate(gens.names())}
-    words: list[Monomial] = [UNIT]
-    layer: list[Monomial] = [UNIT]
-    for _ in range(degree):
-        layer = [w + (a,) for w in layer for a in atoms]
-        words.extend(layer)
-    words.sort(key=lambda m: monomial_key(m, sym_index))
-    return words
+def _letters(gens: NormedSet) -> list[Atom]:
+    """The generator letters s and s* of every generator, in gens order."""
+    return [a for s in gens.names() for a in (Atom(GEN, s), Atom(ADJ, s))]
 
 
 def _monomial_coder(atoms, gens: NormedSet):
@@ -187,8 +177,7 @@ def _monomial_coder(atoms, gens: NormedSet):
     hashing and comparing them runs in C.
     """
     sym_index = {s: i for i, s in enumerate(gens.names())}
-    letters = [a for s in gens.names() for a in (Atom(GEN, s), Atom(ADJ, s))]
-    ranked = sorted(set(letters).union(atoms),
+    ranked = sorted(set(_letters(gens)).union(atoms),
                     key=lambda a: atom_key(a, sym_index))
     rank = {a: i for i, a in enumerate(ranked)}
 
@@ -201,7 +190,7 @@ def _supported(target: NF, bodies, gens: NormedSet, max_degree: int) -> bool:
     """Whether every monomial of `target` is in the support of some
     candidate wa * u * wb: wa and wb are words in the generator letters
     with |wa| + |wb| <= max_degree, and u is a monomial of one of `bodies`."""
-    letters = {a for s in gens.names() for a in (Atom(GEN, s), Atom(ADJ, s))}
+    letters = set(_letters(gens))
     support = {m for t in bodies for m in t}
     for m in target:
         n = len(m)
@@ -216,21 +205,6 @@ def _supported(target: NF, bodies, gens: NormedSet, max_degree: int) -> bool:
                    for j in range(min(suf, max_degree - i, n - i) + 1)):
             return False
     return True
-
-
-def _outcome_without_certificate(n_forms: int, gens: NormedSet,
-                                 max_degree: int, max_candidates: int
-                                 ) -> BudgetExhausted | None:
-    """What the search returns when no certificate exists: BudgetExhausted
-    at the first degree whose candidates overflow the budget, else None.
-    Degree k has (k + 1) (2g)^k word pairs for each of the `n_forms`
-    bodies and starred bodies."""
-    total = 0
-    for k in range(max_degree + 1):
-        total += (k + 1) * (2 * len(gens)) ** k * n_forms
-        if total > max_candidates:
-            return BudgetExhausted(max_candidates, k - 1)
-    return None
 
 
 def search_certificate(relations, target: NF, gens: NormedSet,
@@ -254,9 +228,8 @@ def search_certificate(relations, target: NF, gens: NormedSet,
     u a monomial of a body or its star, so a target monomial with no such
     split (a call atom never falls inside wa or wb) is in no candidate's
     support and no combination reaches it.  Such a target has no
-    certificate at any degree, and the outcome is known without
-    elimination: BudgetExhausted at the degree the full search would
-    stop at, counted from the candidate numbers alone, else None.
+    certificate at any degree, so its degrees are only counted against
+    the budget, never eliminated.
     """
     if target.is_zero:
         return Certificate(())
@@ -264,14 +237,20 @@ def search_certificate(relations, target: NF, gens: NormedSet,
     bodies = [body for _, body in rel_list]
     star_bodies = [star(body) for body in bodies]
     n_rels = len(rel_list)
-    has_star = [s is not b for s, b in zip(star_bodies, bodies)]
-    if not _supported(target, bodies + star_bodies, gens, max_degree):
-        return _outcome_without_certificate(n_rels + sum(has_star), gens,
-                                            max_degree, max_candidates)
-    code = _monomial_coder([a for t in [target] + bodies + star_bodies
-                           for m in t for a in m], gens)
-    coded = [[(code(m), c) for m, c in t.items()]
-             for t in bodies + star_bodies]
+    # (relation index, starred) of each body and each star that differs
+    forms = [(ri, starred) for ri in range(n_rels) for starred in (False, True)
+             if not starred or star_bodies[ri] is not bodies[ri]]
+    supported = _supported(target, bodies + star_bodies, gens, max_degree)
+    if supported:
+        code = _monomial_coder([a for t in [target] + bodies + star_bodies
+                               for m in t for a in m], gens)
+        coded = [[(code(m), c) for m, c in
+                  (star_bodies if starred else bodies)[ri].items()]
+                 for ri, starred in forms]
+        tvec = {code(m): c for m, c in target.items()}
+    letters = _letters(gens)
+    # words[k]: the words of length k with their codes, in word order
+    words: list[list] = []
 
     # pivots: leading code -> (vector, pivot number); origins[number] is
     # (candidate index, elimination steps) with steps (ratio, number) pairs
@@ -299,30 +278,29 @@ def search_certificate(relations, target: NF, gens: NormedSet,
         return None, steps
 
     candidates: list[tuple[Monomial, int, bool, Monomial]] = []
-    tvec = {code(m): c for m, c in target.items()}
+    total = 0
     for degree in range(max_degree + 1):
-        words = [(w, code(w)) for w in _words_upto(gens, degree)]
-        new = []
-        for wa, (la, ca) in words:
-            for wb, (lb, cb) in words:
-                if la + lb != degree:
-                    continue
-                for ri in range(n_rels):
-                    new.append((wa, ri, False, wb, la + lb, ca, cb))
-                    if has_star[ri]:
-                        new.append((wa, ri, True, wb, la + lb, ca, cb))
-        if len(candidates) + len(new) > max_candidates:
+        # (degree + 1) (2g)^degree word pairs for each form
+        total += (degree + 1) * len(letters) ** degree * len(forms)
+        if total > max_candidates:
             return BudgetExhausted(max_candidates, degree - 1)
-        for wa, ri, starred, wb, ln, ca, cb in new:
-            idx = len(candidates)
-            candidates.append((wa, ri, starred, wb))
-            # wa * body * wb: concatenation with fixed words is injective
-            vec = {(ln + l, ca + k + cb): c
-                   for (l, k), c in coded[ri + n_rels if starred else ri]}
-            lead, steps = reduce_vec(vec)
-            if lead is not None:
-                pivots[lead] = (vec, len(origins))
-                origins.append((idx, steps))
+        if not supported:
+            continue
+        layer = [UNIT] if degree == 0 else [w + (a,) for w, _ in words[-1]
+                                            for a in letters]
+        words.append([(w, code(w)[1]) for w in layer])
+        pairs = [(wa, ca, wb, cb) for la in range(degree + 1)
+                 for wa, ca in words[la] for wb, cb in words[degree - la]]
+        for wa, ca, wb, cb in pairs:
+            for (ri, starred), body in zip(forms, coded):
+                idx = len(candidates)
+                candidates.append((wa, ri, starred, wb))
+                # wa * body * wb: concatenation with fixed words is injective
+                vec = {(degree + l, ca + k + cb): c for (l, k), c in body}
+                lead, steps = reduce_vec(vec)
+                if lead is not None:
+                    pivots[lead] = (vec, len(origins))
+                    origins.append((idx, steps))
         lead, steps = reduce_vec(dict(tvec))
         if lead is None:
             return Certificate(_summands(steps, origins, candidates,

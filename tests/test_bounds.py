@@ -136,13 +136,13 @@ def _sa(ctx):
 TIGHTENINGS = {
     "cap": (lambda ctx: None, lambda ctx: ctx.tighten_cap("x", XS(1))),
     "sa": (lambda ctx: None, _sa),
-    "sym": (_sa, lambda ctx: ctx.tighten_sym("x", bounds.Ival(XS(0), XS(1)))),
-    "new elem fact": (lambda ctx: None, lambda ctx: ctx.add_elem_fact(
+    "sym": (_sa, lambda ctx: ctx.add_fact(gen_nf("x"), bounds.Ival(XS(0), XS(1)))),
+    "new elem fact": (lambda ctx: None, lambda ctx: ctx.add_fact(
         star(gen_nf("x")) * gen_nf("x"), bounds.Ival(XS(1), XS(4)))),
     "narrowed elem fact": (
-        lambda ctx: ctx.add_elem_fact(star(gen_nf("x")) * gen_nf("x"),
+        lambda ctx: ctx.add_fact(star(gen_nf("x")) * gen_nf("x"),
                                       bounds.Ival(XS(0), XS(4))),
-        lambda ctx: ctx.add_elem_fact(star(gen_nf("x")) * gen_nf("x"),
+        lambda ctx: ctx.add_fact(star(gen_nf("x")) * gen_nf("x"),
                                       bounds.Ival(XS(1), XS(9)))),
 }
 
@@ -167,14 +167,41 @@ def test_memo_is_cleared_by_every_tightening(reg, kind):
 def test_unchanged_facts_keep_the_memo(reg):
     ctx = bounds.Context(one_gen(2), reg)
     ctx.declare_sa("x")
-    ctx.tighten_sym("x", bounds.Ival(XS(0), XS(1)))
-    ctx.add_elem_fact(gen_nf("x") * gen_nf("x"), bounds.Ival(XS(0), XS(1)))
+    ctx.add_fact(gen_nf("x"), bounds.Ival(XS(0), XS(1)))
+    ctx.add_fact(gen_nf("x") * gen_nf("x"), bounds.Ival(XS(0), XS(1)))
     version = ctx.version
     ctx.declare_sa("x")
     ctx.tighten_cap("x", XS(3))
-    ctx.tighten_sym("x", bounds.Ival(XS(-1), XS(2)))
-    ctx.add_elem_fact(gen_nf("x") * gen_nf("x"), bounds.Ival(XS(0), XS(2)))
+    ctx.add_fact(gen_nf("x"), bounds.Ival(XS(-1), XS(2)))
+    ctx.add_fact(gen_nf("x") * gen_nf("x"), bounds.Ival(XS(0), XS(2)))
     assert ctx.version == version
+
+
+def _within(iv, lo, hi):
+    return iv.lo.cmp(XS(lo)) >= 0 and iv.hi.cmp(XS(hi)) <= 0
+
+
+def test_declare_sa_rekeys_element_facts(reg):
+    # x* x reads as x x once x is self-adjoint, where the palindromic split
+    # alone gives [0, 4]; the fact is found only under its new key
+    x = gen_nf("x")
+    ctx = bounds.Context(one_gen(2), reg)
+    ctx.add_fact(star(x) * x, bounds.Ival(XS(1), XS(4)))
+    ctx.declare_sa("x")
+    assert _within(bounds.interval(star(x) * x, ctx), 1, 4)
+    assert _within(bounds.interval(x * x - 1, ctx), 0, 3)
+
+
+def test_declare_sa_rekeys_generator_facts(reg):
+    # a fact on x* becomes x's own once x is self-adjoint, and the
+    # monomial decomposition of 2x + y* y reads it for the x term
+    g = one_gen(2)
+    g.add("y", XS(1))
+    x, y = gen_nf("x"), gen_nf("y")
+    ctx = bounds.Context(g, reg)
+    ctx.add_fact(star(x), bounds.Ival(XS(1), XS(2)))
+    ctx.declare_sa("x")
+    assert _within(bounds.interval(x * 2 + star(y) * y, ctx), 2, 5)
 
 
 def _halving(pairs, names):
@@ -231,7 +258,7 @@ def test_deep_nests_keep_their_bounds(reg):
 
 
 def _context_summary(ctx, keys):
-    return (ctx.sa, ctx.caps, ctx.sym_ival, ctx.rounds,
+    return (ctx.sa, ctx.caps, ctx.facts, ctx.rounds,
             [bounds.interval(k, ctx) for k in keys])
 
 
@@ -246,7 +273,7 @@ def test_contexts_do_not_depend_on_relation_order(reg, corpus):
             shuffled = list(bodies)
             random.Random(seed).shuffle(shuffled)
             ctxs.append(bounds.context_from_relations(p.gens, reg, shuffled))
-        keys = [k for ctx in ctxs for k in ctx.elem_facts]
+        keys = [k for ctx in ctxs for k in ctx.facts]
         first = _context_summary(ctxs[0], keys)
         for seed, ctx in enumerate(ctxs[1:]):
             assert _context_summary(ctx, keys) == first, (path.name, seed)

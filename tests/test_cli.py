@@ -36,12 +36,10 @@ def load_schema(schemas_dir, name):
     return json.loads((schemas_dir / name).read_text())
 
 
-def test_version_line(capsys, reg):
+def test_version_line(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
-    assert out.strip() == "cstarpres %s (registry %s)" % (__version__,
-                                                          reg.digest())
-    assert re.search(r"registry [0-9a-f]{16}\)$", out.strip())
+    assert out.strip() == "cstarpres %s" % __version__
 
 
 def test_no_command_is_usage_error(capsys):
@@ -236,8 +234,7 @@ def test_check_no_schemas_flag(capsys, corpus):
     assert code == 1
 
 
-def test_repsearch_json_and_manifest(capsys, corpus, schemas_dir, tmp_path,
-                                     reg):
+def test_repsearch_json_and_manifest(capsys, corpus, schemas_dir, tmp_path):
     pres = str(corpus / "idempotent_lam1.pres")
     code, out, _ = run(capsys, "repsearch", "-p", pres, "--dim", "2",
                        "--json")
@@ -252,7 +249,6 @@ def test_repsearch_json_and_manifest(capsys, corpus, schemas_dir, tmp_path,
                         load_schema(schemas_dir, "manifest.schema.json"))
     assert manifest["command"] == "repsearch"
     assert manifest["tool_version"] == __version__
-    assert manifest["registry_digest"] == reg.digest()
     assert re.fullmatch(r"[0-9a-f]{64}", manifest["inputs"][pres])
     assert manifest["config"] == {"dim": 2, "seed": 0, "restarts": 8}
     assert manifest["outcome"]["feasible"] is True
@@ -374,16 +370,14 @@ def test_manifest_empty_path_skips_write(capsys, corpus, tmp_path):
 
 def test_registry_file_is_a_manifest_input(capsys, corpus, tmp_path,
                                            monkeypatch, schemas_dir):
-    # two files whose bump differs in one coefficient share a registry
-    # digest, which names functions only; the manifest tells them apart
-    # by the file's own hash
+    # two files whose bump differs in one coefficient: the manifest tells
+    # them apart by the file's own hash
     pres = str(corpus / "self_adjoint.pres")
     hashes = []
     for coeff in ("1", "2"):
         extra = tmp_path / ("bump%s.reg" % coeff)
         extra.write_text("function bump:\n  piece 0 1 : 0 %s\n" % coeff)
         want = hashlib.sha256(extra.read_bytes()).hexdigest()
-        digests = set()
         for via_env in (False, True):
             if via_env:
                 monkeypatch.setenv(REGISTRY_ENV, str(extra))
@@ -397,10 +391,8 @@ def test_registry_file_is_a_manifest_input(capsys, corpus, tmp_path,
             jsonschema.validate(
                 manifest, load_schema(schemas_dir, "manifest.schema.json"))
             assert manifest["inputs"][str(extra)] == want
-            digests.add(manifest["registry_digest"])
-        hashes.append((want, digests))
-    (h1, d1), (h2, d2) = hashes
-    assert h1 != h2 and d1 == d2 and len(d1) == 1
+        hashes.append(want)
+    assert hashes[0] != hashes[1]
 
 
 def test_parse_prints_a_surd_cap_back(capsys, tmp_path):
@@ -443,17 +435,20 @@ def test_nonunital_augmentation_without_exact_value_is_exit_1(capsys,
                            "non-unital presentation")
 
 
-def test_registry_env_var(capsys, corpus, tmp_path, monkeypatch, reg):
+def test_registry_env_var(capsys, tmp_path, monkeypatch):
     extra = tmp_path / "extra.reg"
     extra.write_text("function clamp01:\n"
                      "  domain selfadjoint\n"
                      "  piece 0 1 : 0 1\n")
+    (tmp_path / "c.pres").write_text(
+        "flavor: unital\ngenerators:\n  x : 1\nrelations:\n"
+        "  r : x = x*\n  s : clamp01(x* x) = x\n")
     monkeypatch.setenv(REGISTRY_ENV, str(extra))
-    code, _, _ = run(capsys, "parse", "-p",
-                     str(corpus / "self_adjoint.pres"))
+    code, _, _ = run(capsys, "parse", "-p", str(tmp_path / "c.pres"))
     assert code == 0
     manifest = json.loads((tmp_path / "run-manifest.json").read_text())
-    assert manifest["registry_digest"] != reg.digest()
+    assert (manifest["inputs"][str(extra)]
+            == hashlib.sha256(extra.read_bytes()).hexdigest())
 
 
 @pytest.mark.parametrize("block", [

@@ -10,8 +10,9 @@ from cstarpres.parser import parse_term
 from cstarpres.presentation import (Presentation, Relation,
                                     load_presentation, parse_presentation,
                                     structural_equal)
-from cstarpres.terms import (NF, NormedSet, adj_nf, call_nf, gen_nf,
-                             geq_zero_body, monomial_key, nf_coerce, star)
+from cstarpres.terms import (NF, UNIT, NormedSet, adj, adj_nf, call_nf, gen,
+                             gen_nf, geq_zero_body, monomial_key, nf_coerce,
+                             star)
 from cstarpres.tietze import (AddGenerators, AddRelations, Certificate,
                               Derivation, MoveError, OraclePending,
                               RemoveGenerators, RemoveRelations, apply_move,
@@ -146,6 +147,20 @@ def test_pinned_first_found_certificates(reg):
 
 # -- the search against a reference elimination -------------------------------
 
+def _words_upto(gens, degree):
+    """Every word of length <= degree in the generator letters, sorted by
+    `monomial_key`."""
+    atoms = [a for s in gens.names() for a in (gen(s), adj(s))]
+    sym_index = {s: i for i, s in enumerate(gens.names())}
+    words = [UNIT]
+    layer = [UNIT]
+    for _ in range(degree):
+        layer = [w + (a,) for w in layer for a in atoms]
+        words.extend(layer)
+    words.sort(key=lambda m: monomial_key(m, sym_index))
+    return words
+
+
 def _reference_search_certificate(relations, target, gens,
                                   max_degree=1, max_candidates=6000):
     """The search as it was before monomials were integer-coded: it orders
@@ -192,7 +207,7 @@ def _reference_search_certificate(relations, target, gens,
     rel_list = list(relations)
     star_bodies = [star(body) for _, body in rel_list]
     for degree in range(max_degree + 1):
-        words = tietze._words_upto(gens, degree)
+        words = _words_upto(gens, degree)
         new = []
         for wa in words:
             for wb in words:
@@ -394,7 +409,7 @@ def test_monomial_codes_sort_as_monomial_key(reg, corpus):
         bodies += [star(b) for b in bodies]
         code = tietze._monomial_coder(
             [a for b in bodies for m in b for a in m], p.gens)
-        words = tietze._words_upto(p.gens, 1)
+        words = _words_upto(p.gens, 1)
         monos = list({wa + m + wb for b in bodies for m in b
                       for wa in words for wb in words})
         with_calls += any(a.kind == "call" for m in monos for a in m)
