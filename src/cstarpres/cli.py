@@ -69,6 +69,8 @@ def _search_config(args) -> repsearch.SearchConfig:
     for flag, value in (("--dim", args.dim), ("--restarts", args.restarts)):
         if value < 1:
             raise UsageError("%s must be at least 1, got %d" % (flag, value))
+    if args.seed < 0:
+        raise UsageError("--seed must be at least 0, got %d" % args.seed)
     return repsearch.SearchConfig(seed=args.seed, restarts=args.restarts)
 
 

@@ -9,9 +9,10 @@ Terms are compiled once into plans of complex coefficients and atoms,
 and evaluated on stacks of assignments.  A search runs all its restarts
 through one Levenberg-Marquardt with a damping per row, its only
 optimiser: first with a reward row that pushes the reward term's norm
-up, if there is one, then on the relations and caps alone.  Only the
-restarts left infeasible run it once more, without the reward row, from
-their own start points contracted towards 0.  A cap enters LM as the
+up, if there is one, until that norm reaches the kernel's bound, then
+on the relations and caps alone.  Only the restarts left infeasible run
+it once more, without the reward row, from their own start points
+contracted towards 0.  A cap enters LM as the
 distance of its generator to the cap ball, one row per singular value,
 and LM without the reward row stops a restart once it is feasible with
 a margin.  The Jacobians are reverse mode through every atom, reusing
@@ -138,15 +139,13 @@ def _compile(t: NF, registry, flavor: str, calls: dict) -> list:
     return plan
 
 
-def _reward_bound(term: NF, p: Presentation, d: int, registry) -> float:
-    """2 sqrt(d) times the kernel's norm bound of `term` under the caps,
-    which is above its Frobenius norm at every point of the cap box;
-    capped at 1e150, which also stands for a bound beyond a float."""
+def _kernel_bound(term: NF, p: Presentation, registry) -> float:
+    """The kernel's norm bound of `term` under the caps, as a float; inf
+    for a bound beyond a float."""
     try:
-        b = float(bounds.norm_bound(term, bounds.Context(p.gens, registry)))
+        return float(bounds.norm_bound(term, bounds.Context(p.gens, registry)))
     except OverflowError:
-        return 1e150
-    return min(2 * d ** 0.5 * b, 1e150)
+        return np.inf
 
 
 class _Taped:
@@ -395,8 +394,11 @@ class _Objective:
 
     `lsq` maps a stack of parameter rows to the residuals and Jacobians
     that Levenberg-Marquardt minimizes; `score` runs the same compiled
-    plans for the final scores.  `reward_bound` is the target of `lsq`'s
-    reward row.
+    plans for the final scores.  `kernel_bound` is the kernel's norm
+    bound of the reward term under the caps, and `reward_bound`, the
+    target of `lsq`'s reward row, is 2 sqrt(d) times it, which is above
+    the reward term's Frobenius norm at every point of the cap box;
+    capped at 1e150, which also stands for a bound beyond a float.
     """
 
     def __init__(self, p: Presentation, d: int, registry,
@@ -409,15 +411,21 @@ class _Objective:
                        for r in p.relations]
         self.reward = (None if reward_term is None else
                        _compile(reward_term, registry, p.flavor, calls))
-        self.reward_bound = (None if reward_term is None else
-                             _reward_bound(reward_term, p, d, registry))
+        self.kernel_bound = self.reward_bound = None
+        if reward_term is not None:
+            self.kernel_bound = _kernel_bound(reward_term, p, registry)
+            self.reward_bound = min(2 * d ** 0.5 * self.kernel_bound, 1e150)
 
     def lsq(self, theta: np.ndarray, reward: bool = False):
-        """Residuals (R, m) and their Jacobians (R, m, n) of a stack of rows
-        (R, n), from one pass: every relation's entries (real parts, then
-        imaginary parts), then each generator's d cap rows, then, with
-        `reward`, the reward row sqrt(w) (C - ||Q||_F), where Q is the
-        reward term's value, C is `reward_bound` and w the reward weight.
+        """Residuals (R, m), their Jacobians (R, m, n) and, with `reward`,
+        the reward term's operator norms (R,) of a stack of rows (R, n),
+        from one pass; without `reward` the norms are None.  The residuals
+        are every relation's entries (real parts, then imaginary parts),
+        then each generator's d cap rows, then, with `reward`, the reward
+        row sqrt(w) (C - ||Q||_F), where Q is the reward term's value, C
+        is `reward_bound` and w the reward weight.  ||Q|| is the top
+        singular value, as `score` computes it, and inf on a row whose
+        ||Q||_F is not finite.
 
         Cap row k of generator X is sqrt(p) max(0, sigma_k - c), from
         the k-th singular value of X, its cap c and the penalty p.  The
@@ -456,6 +464,7 @@ class _Objective:
             grads[s] = np.where((exc > 0.0)[:, :, None, None],
                                 w / 2 * outer, 0.0)
             jac.append(_flatten(grads, self.syms))
+        top = None
         if reward:
             w = SearchConfig.reward ** 0.5
             q, tape = fwd.eval(self.reward)
@@ -467,7 +476,11 @@ class _Objective:
             scale = np.divide(-w / 2, norm, out=np.zeros(rows),
                               where=norm > 0.0)
             jac.append((scale[:, None] * _flatten(grads, self.syms))[:, None])
-        return np.concatenate(res, axis=1), np.concatenate(jac, axis=1)
+            # the SVD does not converge on a NaN entry
+            top = np.full(rows, np.inf)
+            finite = np.isfinite(norm)
+            top[finite] = np.linalg.svd(q[finite], compute_uv=False)[:, 0]
+        return np.concatenate(res, axis=1), np.concatenate(jac, axis=1), top
 
     def score(self, theta: np.ndarray, diag: EvalDiag) -> list[tuple]:
         """Score a stack of rows in one pass: per row, each relation's
@@ -503,9 +516,11 @@ def _flatten(grads: dict, syms: list[str]) -> np.ndarray:
 
 
 def _polish(objective: _Objective, theta: np.ndarray,
-            reward: bool = False) -> np.ndarray:
+            reward: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on `objective.lsq` (with its reward row when
     `reward`), every row of the stack at once, each with its own damping.
+    Returns the rows and, per row, the number of stacked iterations it
+    was active in.
 
     A step solves (J^T J + lam tr(J^T J)/n I) delta = -J^T f.  A row
     takes its trial point when the cost is finite and falls (then
@@ -514,22 +529,30 @@ def _polish(objective: _Objective, theta: np.ndarray,
     1e-15 of its norm, a relative cost drop below 1e-15, a zero cost, or
     a damping above 1e16.
 
-    Without the reward row, a row also stops once its cost is at most
-    (FEAS_MARGIN tol_feas)^2: then every relation residual is at most
-    1e-11 and every cap excess at most 1e-11 / sqrt(penalty), so the row
-    scores feasible, and it would have scored feasible had it gone on,
-    since no step raises the cost."""
+    With the reward row, a row also stops, or does not start, once the
+    operator norm of the reward term is at least `kernel_bound`: no
+    feasible point goes past that bound, so pushing further only costs
+    iterations.  Without the reward row, a row also stops, or does not
+    start, once its cost is at most (FEAS_MARGIN tol_feas)^2: then every
+    relation residual is at most 1e-11 and every cap excess at most
+    1e-11 / sqrt(penalty), so the row scores feasible, and it would
+    have scored feasible had it gone on, since no step raises the
+    cost."""
     theta = theta.copy()
     n = theta.shape[1]
-    f, jac = objective.lsq(theta, reward)
+    f, jac, top = objective.lsq(theta, reward)
     cost = np.sum(f * f, axis=1)
     lam = np.full(len(theta), LM_DAMPING)
+    steps = np.zeros(len(theta), dtype=int)
     floor = 0.0 if reward else (FEAS_MARGIN * SearchConfig.tol_feas) ** 2
     active = cost > floor
+    if reward:
+        active &= top < objective.kernel_bound
     for _ in range(POLISH_ITERS):
         idx = np.flatnonzero(active)
         if not len(idx):
             break
+        steps[idx] += 1
         j = jac[idx]
         jt = j.swapaxes(1, 2)
         a = jt @ j
@@ -541,7 +564,7 @@ def _polish(objective: _Objective, theta: np.ndarray,
         x_norm = np.linalg.norm(theta[idx], axis=1)
         trial = theta[idx] + step
         with np.errstate(over="ignore", invalid="ignore"):
-            ft, jac_t = objective.lsq(trial, reward)
+            ft, jac_t, top_t = objective.lsq(trial, reward)
             ct = np.sum(ft * ft, axis=1)
         ok = np.isfinite(ct) & (ct < cost[idx])
         stalled = ok & (cost[idx] - ct <= 1e-15 * cost[idx])
@@ -550,11 +573,13 @@ def _polish(objective: _Objective, theta: np.ndarray,
             trial[ok], ft[ok], jac_t[ok], ct[ok])
         lam[idx] = np.where(ok, np.maximum(lam[idx] / 3, 1e-12),
                             lam[idx] * 4)
-        active[idx[stalled | (cost[idx] <= floor)
-                   | (lam[idx] > 1e16)
-                   | (np.linalg.norm(step, axis=1)
-                      <= 1e-15 * (1e-15 + x_norm))]] = False
-    return theta
+        stop = (stalled | (cost[idx] <= floor) | (lam[idx] > 1e16)
+                | (np.linalg.norm(step, axis=1)
+                   <= 1e-15 * (1e-15 + x_norm)))
+        if reward:
+            stop |= ok & (top_t >= objective.kernel_bound)
+        active[idx[stop]] = False
+    return theta, steps
 
 
 @dataclass
@@ -567,6 +592,8 @@ class RestartOutcome:
     residuals: list    # each relation's residual, in relation order
     value: float | None  # operator norm of the reward term, if any
     stage: str         # "lm", or "rescue" for a restart the rescue redid
+    lm_steps: dict     # stacked LM iterations per stage: "reward",
+    #                    "polish" and "rescue", 0 for a stage not run
 
 
 @dataclass
@@ -597,37 +624,43 @@ def search_feasible(p: Presentation, d: int, cfg: SearchConfig,
     restarts still infeasible are rescued: the polish runs again, without
     the reward row, from their own start points times RESCUE_SCALE, and
     one pass scores the stack again.  They replace their rows; their
-    `stage` is "rescue".
+    `stage` is "rescue".  Each outcome counts the stacked iterations its
+    row was active in, per stage (`lm_steps`).
 
-    Raises ValueError unless d >= 1 and cfg.restarts >= 1, so that
-    `refute_redundancy` and `norm_lower_bound` never report a search that
-    did not run."""
+    Raises ValueError unless d >= 1, cfg.restarts >= 1 and cfg.seed >= 0,
+    so that `refute_redundancy` and `norm_lower_bound` never report a
+    search that did not run."""
     if d < 1:
         raise ValueError("dimension must be at least 1, got %d" % d)
     if cfg.restarts < 1:
         raise ValueError("restarts must be at least 1, got %d" % cfg.restarts)
+    if cfg.seed < 0:
+        raise ValueError("seed must be at least 0, got %d" % cfg.seed)
     objective = _Objective(p, d, registry, reward_term)
     start = np.stack([_start(objective.caps, d, cfg.seed, idx)
                       for idx in range(cfg.restarts)])
     stages = ["lm"] * cfg.restarts
+    steps = {stage: np.zeros(cfg.restarts, dtype=int)
+             for stage in ("reward", "polish", "rescue")}
     if not objective.syms:
-        return _scored(p, objective, start, stages, cfg)
+        return _scored(p, objective, start, stages, steps, cfg)
     theta = start
     if objective.reward is not None:
-        theta = _polish(objective, theta, reward=True)
-    theta = _polish(objective, theta)
-    result = _scored(p, objective, theta, stages, cfg)
+        theta, steps["reward"] = _polish(objective, theta, reward=True)
+    theta, steps["polish"] = _polish(objective, theta)
+    result = _scored(p, objective, theta, stages, steps, cfg)
     bad = [o.index for o in result.outcomes if not o.feasible]
     if not bad:
         return result
-    theta[bad] = _polish(objective, start[bad] * RESCUE_SCALE)
+    theta[bad], steps["rescue"][bad] = _polish(objective,
+                                               start[bad] * RESCUE_SCALE)
     for idx in bad:
         stages[idx] = "rescue"
-    return _scored(p, objective, theta, stages, cfg)
+    return _scored(p, objective, theta, stages, steps, cfg)
 
 
 def _scored(p: Presentation, objective: _Objective, theta: np.ndarray,
-            stages: list, cfg: SearchConfig) -> SearchResult:
+            stages: list, steps: dict, cfg: SearchConfig) -> SearchResult:
     """Score every row of the stack in one pass."""
     d, diag = objective.d, EvalDiag()
     outcomes = []
@@ -638,7 +671,7 @@ def _scored(p: Presentation, objective: _Objective, theta: np.ndarray,
             idx, residual, excess,
             residual < cfg.tol_feas and excess < cfg.tol_cap,
             _unpack(th, objective.syms, d, p.flavor), res, value,
-            stages[idx]))
+            stages[idx], {k: int(v[idx]) for k, v in steps.items()}))
     return SearchResult(d, cfg, outcomes, diag)
 
 
@@ -704,7 +737,7 @@ def result_to_json(p: Presentation, result: SearchResult) -> dict:
         "restart_results": [
             {"index": o.index, "residual": o.residual,
              "cap_excess": o.cap_excess, "feasible": o.feasible,
-             "stage": o.stage}
+             "stage": o.stage, "lm_steps": o.lm_steps}
             for o in result.outcomes],
         "best": {
             "index": best.index,

@@ -302,6 +302,18 @@ def test_search_size_below_one_is_exit_2(capsys, corpus, tmp_path, command,
     assert not (tmp_path / "run-manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("repsearch",), ("refute", "x"), ("lowerbound", "x")],
+    ids=["repsearch", "refute", "lowerbound"])
+def test_negative_seed_is_exit_2(capsys, corpus, tmp_path, command):
+    code, out, err = run(capsys, *command, "-p",
+                         str(corpus / "self_adjoint.pres"), "--seed", "-1")
+    assert code == 2
+    assert err.strip() == "error: --seed must be at least 0, got -1"
+    assert out == ""
+    assert not (tmp_path / "run-manifest.json").exists()
+
+
 def test_normbound_payload(capsys, corpus):
     code, out, _ = run(capsys, "normbound", "x* x", "-p",
                        str(corpus / "left_invertible.pres"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cstarpres import repsearch
+from cstarpres import bounds, repsearch
 from cstarpres.cli import REGISTRY_ENV, main
 from cstarpres.exact import XS
 from cstarpres.fcalc import load_registry_file
@@ -213,7 +213,7 @@ def _assert_gradient_matches_fd(p, q, d, reg, seed, points=3):
             r = _residuals(p, t, d, reg, q, objective.reward_bound)
             return r @ r
 
-        res, jac = objective.lsq(theta[None], True)
+        res, jac, _ = objective.lsq(theta[None], True)
         grad = 2 * jac[0].T @ res[0]
         fd = _fd_grad(f, theta)
         denom = max(np.linalg.norm(fd), 1e-12)
@@ -316,7 +316,7 @@ def _assert_jacobian_matches_fd(p, d, reg, seed, points=2, q=None):
                 continue
             if not all(_kink_free(rep, t, reg) for t in terms):
                 continue
-            f, jac = objective.lsq(theta[None], q is not None)
+            f, jac, _ = objective.lsq(theta[None], q is not None)
             want = _residuals(p, theta, d, reg, q, bound)
             assert np.allclose(f[0], want, rtol=1e-12, atol=1e-12)
             fd = _fd_jacobian(lambda t: _residuals(p, t, d, reg, q, bound),
@@ -376,7 +376,7 @@ def test_cap_rows_measure_the_distance_to_the_cap_ball(reg, corpus, d):
         syms, caps = objective.syms, objective.caps
         theta = rng.standard_normal((6, 2 * len(syms) * d * d))
         theta *= rng.uniform(0.1, 2.0, (6, 1))
-        f, _ = objective.lsq(theta)
+        f, _, _ = objective.lsq(theta)
         first = 2 * d * d * len(p.relations)
         rows = f[:, first:].reshape(len(theta), len(syms), d)
         for i, th in enumerate(theta):
@@ -403,7 +403,7 @@ def test_cap_gradient_at_a_repeated_top_singular_value(reg, x):
     p = parse_presentation(
         "flavor: unital\ngenerators:\n  x : 1\nrelations:\n", reg)
     theta = np.concatenate([1.5 * x.ravel(), np.zeros(4)])
-    res, jac = repsearch._Objective(p, 2, reg).lsq(theta[None])
+    res, jac, _ = repsearch._Objective(p, 2, reg).lsq(theta[None])
     grad = 2 * jac[0].T @ res[0]
 
     def cost(t):
@@ -502,8 +502,8 @@ def test_polished_rows_equal_lone_rows(reg, corpus):
         theta = np.stack([repsearch._start(objective.caps, 2, 0, idx)
                           for idx in range(4)])
         for reward in (False, True):
-            stacked = repsearch._polish(objective, theta, reward)
-            alone = repsearch._polish(objective, theta[:1], reward)
+            stacked, _ = repsearch._polish(objective, theta, reward)
+            alone, _ = repsearch._polish(objective, theta[:1], reward)
             assert np.array_equal(stacked[0], alone[0]), (path.name, reward)
 
 
@@ -532,8 +532,9 @@ def test_rescue_runs_only_the_infeasible_rows(reg, corpus, monkeypatch, g):
         objective = repsearch._Objective(p, 2, reg, q)
         start = np.stack([repsearch._start(objective.caps, 2, seed, idx)
                           for idx in range(cfg.restarts)])
-        lm = repsearch._polish(objective,
-                               repsearch._polish(objective, start, True))
+        lm, _ = repsearch._polish(objective,
+                                  repsearch._polish(objective, start,
+                                                    True)[0])
         left = [i for i, (res, excess, _) in enumerate(
             objective.score(lm, EvalDiag()))
             if not (max(res) < cfg.tol_feas and excess < cfg.tol_cap)]
@@ -553,7 +554,7 @@ def test_rescue_runs_only_the_infeasible_rows(reg, corpus, monkeypatch, g):
         assert np.array_equal(seen[2], start[left] * repsearch.RESCUE_SCALE)
         assert [o.index for o in res.outcomes if o.stage == "rescue"] == left
         assert len(res.feasible) == cfg.restarts, (seed, g)
-        every = polish(objective, start * repsearch.RESCUE_SCALE)
+        every, _ = polish(objective, start * repsearch.RESCUE_SCALE)
         for i in left:
             want = repsearch._unpack(every[i], objective.syms, 2, p.flavor)
             for s in objective.syms:
@@ -608,13 +609,13 @@ def test_rows_stopped_under_the_margin_score_feasible(reg, corpus,
         for seed in (1, 9001):
             start = np.stack([repsearch._start(objective.caps, 2, seed, idx)
                               for idx in range(12)])
-            lm = repsearch._polish(objective, start, True)
+            lm, _ = repsearch._polish(objective, start, True)
             starts = (lm, start * repsearch.RESCUE_SCALE)
             for theta in starts:
                 ends = []
                 for scale in (repsearch.FEAS_MARGIN, 0.0):
                     monkeypatch.setattr(repsearch, "FEAS_MARGIN", scale)
-                    ends.append(repsearch._polish(objective, theta))
+                    ends.append(repsearch._polish(objective, theta)[0])
                 monkeypatch.undo()
                 flags = [[max(res, default=0.0) < SearchConfig.tol_feas
                           and excess < SearchConfig.tol_cap
@@ -622,7 +623,7 @@ def test_rows_stopped_under_the_margin_score_feasible(reg, corpus,
                                                                 EvalDiag())]
                          for end in ends]
                 assert flags[0] == flags[1], (path.name, seed)
-                f, _ = objective.lsq(ends[0])
+                f, _, _ = objective.lsq(ends[0])
                 under = np.flatnonzero(np.sum(f * f, axis=1) <= margin ** 2)
                 if not len(under):
                     continue
@@ -634,7 +635,7 @@ def test_rows_stopped_under_the_margin_score_feasible(reg, corpus,
     assert stopped >= 400  # of 432 rows
 
 
-def _lsq_calls(monkeypatch, p, q, reg):
+def _lsq_calls(monkeypatch, p, q, reg, restarts=12):
     """Search p with reward q at d = 2, seed 1 and 12 restarts, counting
     `lsq` calls with and without the reward row."""
     counts = {True: 0, False: 0}
@@ -644,12 +645,93 @@ def _lsq_calls(monkeypatch, p, q, reg):
         counts[reward] += 1
         return lsq(self, theta, reward)
     monkeypatch.setattr(repsearch._Objective, "lsq", counted)
-    res = search_feasible(p, 2, SearchConfig(seed=1, restarts=12), reg,
+    res = search_feasible(p, 2, SearchConfig(seed=1, restarts=restarts), reg,
                           reward_term=q)
     monkeypatch.undo()
-    assert len(res.feasible) == 12
+    assert len(res.feasible) == restarts
     assert all(o.stage == "lm" for o in res.outcomes)
     return counts
+
+
+def test_reward_stage_stops_at_the_kernel_bound(reg, corpus, monkeypatch):
+    # ||y|| reaches the kernel's bound 1 early, and the reward row, whose
+    # target is 2 sqrt(2) times that bound, went on to 63 calls
+    p = load_presentation(str(corpus / "positive.pres"), reg)
+    assert _lsq_calls(monkeypatch, p, gen_nf("y"), reg, restarts=1)[True] <= 15
+
+
+def test_reward_stage_skips_a_start_at_the_kernel_bound(reg, corpus):
+    # a start whose reward norm is already at the kernel's bound takes no
+    # step, bit for bit; the other rows of the stack still climb
+    p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
+    objective = repsearch._Objective(p, 2, reg, gen_nf("x"))
+    assert objective.kernel_bound == 1.0
+    theta = np.stack([repsearch._start(objective.caps, 2, 1, idx)
+                      for idx in range(4)])
+    rep = repsearch._unpack(theta[0], objective.syms, 2, p.flavor)
+    theta[0] *= 1.5 / op_norm(rep.assign["x"])
+    polished, steps = repsearch._polish(objective, theta, reward=True)
+    assert np.array_equal(polished[0], theta[0])
+    assert steps[0] == 0
+    for i in (1, 2, 3):
+        assert steps[i] > 0
+        assert not np.array_equal(polished[i], theta[i])
+
+
+def test_reward_norm_of_a_nan_trial_is_inf(reg):
+    # exp(x) overflows at x = 1000, and inf * 0 puts NaN into exp(x) y,
+    # on which the SVD does not converge; such a trial is rejected for
+    # its cost, so its norm need only not raise
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\n  y : 1\nrelations:\n"
+        "  a : x - x*\n", reg)
+    objective = repsearch._Objective(p, 2, reg,
+                                     parse_term("exp(x) y", p.gens, reg))
+    theta = np.zeros((2, 16))
+    theta[:, 8] = 0.5  # y's top-left entry
+    theta[0, [0, 3]] = 1e3  # x = 1000 I in row 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, _, top = objective.lsq(theta, True)
+    assert np.isnan(f[0]).any()
+    assert top[0] == np.inf
+    assert top[1] == 0.5
+
+
+# generators whose norm bound, read from the relations, the search attains
+ATTAINED = [("positive", "y"), ("left_invertible", "x"),
+            ("left_inv_end", "q"), ("left_inv_end", "u"),
+            ("two_projections", "r"), ("two_projections", "k"),
+            ("idempotent", "x"), ("idempotent_lam1", "x"),
+            ("self_adjoint", "x"), ("self_adjoint_c", "x")]
+
+
+@pytest.mark.parametrize("name,g", ATTAINED)
+def test_stopped_reward_stage_reaches_the_relation_bound(reg, corpus, name,
+                                                         g):
+    # stopping at the caps' bound loses no lower bound where the bound
+    # from the relations is attained (u's cap is 2, its norm 1)
+    p = load_presentation(str(corpus / (name + ".pres")), reg)
+    ctx = bounds.context_from_relations(p.gens, reg,
+                                        [r.body for r in p.relations])
+    want = float(bounds.norm_bound(gen_nf(g), ctx))
+    for seed in (1, 9001):
+        lb, rep = norm_lower_bound(p, gen_nf(g), 2, SearchConfig(seed=seed),
+                                   reg)
+        assert rep is not None
+        assert lb >= want - 1e-9, (name, g, seed)
+
+
+def test_lm_steps_count_the_active_iterations(reg, corpus, monkeypatch):
+    # a lone restart's stage makes one lsq call per iteration, plus one
+    # at its start point
+    p = load_presentation(str(corpus / "idempotent_lam1.pres"), reg)
+    counts = _lsq_calls(monkeypatch, p, gen_nf("x"), reg, restarts=1)
+    res = search_feasible(p, 2, SearchConfig(seed=1, restarts=1), reg,
+                          reward_term=gen_nf("x"))
+    steps = res.outcomes[0].lm_steps
+    assert steps["reward"] + 1 == counts[True]
+    assert steps["polish"] + 1 == counts[False]
+    assert steps["rescue"] == 0
 
 
 def test_reward_stage_crosses_a_repeated_singular_value(reg, corpus,
@@ -775,7 +857,7 @@ def _polish_residuals(p, reg, restarts=2):
     objective = repsearch._Objective(p, 2, reg)
     theta = np.stack([repsearch._start(objective.caps, 2, 0, idx)
                       for idx in range(restarts)])
-    theta = repsearch._polish(objective, theta)
+    theta, _ = repsearch._polish(objective, theta)
     return [max(res) for res, _, _ in objective.score(theta, EvalDiag())]
 
 
@@ -851,10 +933,10 @@ def test_batched_rows_equal_single_evaluations(reg):
     objective = repsearch._Objective(p, 2, reg, q)
     theta = np.random.default_rng(3).standard_normal((3, 16))
     theta[1] *= 0.3  # inside both caps; rows 0 and 2 pay the cap penalty
-    res, jac = objective.lsq(theta, True)
+    res, jac, _ = objective.lsq(theta, True)
     assert res.shape == (3, 29) and jac.shape == (3, 29, 16)
     for i in range(3):
-        one_res, one_jac = objective.lsq(theta[i:i + 1], True)
+        one_res, one_jac, _ = objective.lsq(theta[i:i + 1], True)
         assert np.array_equal(res[i], one_res[0])
         assert np.array_equal(jac[i], one_jac[0])
 
@@ -923,6 +1005,17 @@ def test_search_size_below_one_is_value_error(reg, corpus, d, restarts):
             search()
 
 
+def test_negative_seed_is_value_error(reg, corpus):
+    p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
+    cfg = SearchConfig(seed=-1)
+    x = gen_nf("x")
+    for search in (lambda: search_feasible(p, 2, cfg, reg),
+                   lambda: norm_lower_bound(p, x, 2, cfg, reg),
+                   lambda: refute_redundancy(p, x - star(x), 2, cfg, reg)):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            search()
+
+
 def test_result_json_schema(reg, corpus, schemas_dir):
     p = load_presentation(str(corpus / "self_adjoint.pres"), reg)
     res = search_feasible(p, 2, SearchConfig(restarts=2), reg)
@@ -934,6 +1027,10 @@ def test_result_json_schema(reg, corpus, schemas_dir):
     assert doc["dim"] == 2
     assert [r["stage"] for r in doc["restart_results"]] == [
         o.stage for o in res.outcomes]
+    # no reward term and no rescue: only the polish takes steps
+    for r in doc["restart_results"]:
+        assert r["lm_steps"]["reward"] == r["lm_steps"]["rescue"] == 0
+        assert r["lm_steps"]["polish"] > 0
     mat = doc["best"]["rep"]["assign"]["x"]
     assert len(mat) == 2
     assert len(mat[0][0]) == 2  # re/im pair
