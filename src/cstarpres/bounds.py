@@ -219,14 +219,13 @@ def _psd_check(g: list[list[Coeff]]) -> bool:
 
 def _homogeneous_square(t: NF, ctx: Context) -> bool:
     """True when t is exactly sum_{jk} G_{jk} u_j* u_k with G PSD, for
-    words u of one common length (so every monomial splits uniquely)."""
-    if t.is_zero:
-        return True
+    words u of one common length (so every monomial splits uniquely).
+    t is non-zero and has no unit monomial."""
     lens = {len(m) for m in t}
     if len(lens) != 1:
         return False
     ln = lens.pop()
-    if ln == 0 or ln % 2 != 0:
+    if ln % 2 != 0:
         return False
     half = ln // 2
     basis: list[Monomial] = []
@@ -314,36 +313,29 @@ def _norm_bound(t: NF, ctx: Context) -> XS:
 
 
 def _mono_interval(m: Monomial, ctx: Context) -> Ival:
-    """Enclosure for a monomial fixed by the (sa-modified) involution."""
-    if len(m) == 0:
-        return Ival.point(XS(1))
-    if len(m) == 1:
+    """Enclosure for a non-empty monomial fixed by the sa-modified involution.
+
+    Such a monomial is w* v w with |w| = len(m) // 2 and v either empty or
+    one fixed atom: a call atom, or a generator declared self-adjoint.
+    """
+    k = len(m) // 2
+    if k == 0:
         a = m[0]
         if a.kind == GEN:
             cap = Ival.sym(ctx.cap(a.sym))
             iv = ctx.facts.get(gen_nf(a.sym)) if ctx.facts else None
             got = cap if iv is None else iv.intersect(cap)
             return got if got is not None else iv
-        if a.kind == CALL:
-            fn = ctx.registry.function(a.sym)
-            return fn.range_on(interval(a.arg, ctx), a.params)
-        return Ival.sym(_nb_atom(a, ctx))
-    # palindromic splits: m = w* v w with v self-adjoint (possibly empty)
-    for k in range(len(m) // 2, 0, -1):
-        if m[:k] == _star_mod(m[-k:], ctx):
-            b = _nb_mono(m[-k:], ctx)
-            b2 = xs_mul_outward(b, b, up=True)
-            mid = m[k:len(m) - k]
-            if len(mid) == 0:
-                return Ival(XS(0), b2)
-            if _star_mod(mid, ctx) == mid:
-                iv = _mono_interval(mid, ctx)
-                lo = _ZERO if iv.lo.sign() >= 0 else xs_mul_outward(iv.lo, b2, up=False)
-                hi = _ZERO if iv.hi.sign() <= 0 else xs_mul_outward(iv.hi, b2, up=True)
-                return Ival(lo, hi)
-            break
-    r = _nb_mono(m, ctx)
-    return Ival.sym(r)
+        fn = ctx.registry.function(a.sym)
+        return fn.range_on(interval(a.arg, ctx), a.params)
+    b = _nb_mono(m[-k:], ctx)
+    b2 = xs_mul_outward(b, b, up=True)
+    if len(m) % 2 == 0:
+        return Ival(XS(0), b2)
+    iv = _mono_interval(m[k:k + 1], ctx)
+    lo = _ZERO if iv.lo.sign() >= 0 else xs_mul_outward(iv.lo, b2, up=False)
+    hi = _ZERO if iv.hi.sign() <= 0 else xs_mul_outward(iv.hi, b2, up=True)
+    return Ival(lo, hi)
 
 
 def interval(t: NF, ctx: Context) -> Ival:

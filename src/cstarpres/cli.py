@@ -16,10 +16,10 @@ import os
 import sys
 
 from . import __version__
-from .parser import ParseError, parse_term
+from .parser import parse_term
 from .presentation import (canonical_print, load_presentation, split,
                            to_json_dict, unitize, validate)
-from .fcalc import MacroError, builtin_registry, load_registry_file
+from .fcalc import builtin_registry, load_registry_file
 from . import bounds, repsearch, scripts, tietze
 
 REGISTRY_ENV = "CSTARPRES_REGISTRY"
@@ -343,9 +343,7 @@ def main(argv=None) -> int:
     try:
         reg = _load_registry(args)
         return _HANDLERS[args.command](args, reg)
-    except (UsageError, ParseError, MacroError, scripts.ScriptError,
-            tietze.MoveError, tietze.BridgeError, OSError, ValueError,
-            OverflowError) as e:
+    except (ValueError, OSError, OverflowError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RecursionError:

@@ -349,8 +349,7 @@ def expand_macro(name: str, a: NF, c: XS) -> list[tuple[str, NF]]:
 class SchemaData:
     requires: list[NF]
     gives: list[NF]
-    positive: list[NF] = field(default_factory=list)
-    sa: list[NF] = field(default_factory=list)
+    positive: list[NF] = field(default_factory=list)  # self-adjoint, >= 0
     norm_les: list[tuple[NF, XS]] = field(default_factory=list)
 
 
@@ -393,8 +392,7 @@ def _b_sqrt_square(b: dict, reg: "Registry") -> SchemaData:
 
 def _b_positive_from_interval(b: dict, reg: "Registry") -> SchemaData:
     a = b["A"]
-    return SchemaData(requires=[], gives=[geq_zero_body(a)],
-                      positive=[a], sa=[a])
+    return SchemaData(requires=[], gives=[geq_zero_body(a)], positive=[a])
 
 
 def _b_projection_range(b: dict, reg: "Registry") -> SchemaData:

@@ -399,11 +399,8 @@ def nf_key(t: NF, sym_index: Mapping[str, int]):
     return tuple(ks)
 
 
-def sorted_monomials(t: NF, gens: NormedSet | None = None) -> list[Monomial]:
-    if gens is None:
-        sym_index: dict[str, int] = {s: i for i, s in enumerate(sorted(t.symbols()))}
-    else:
-        sym_index = {s: i for i, s in enumerate(gens.names())}
+def sorted_monomials(t: NF, gens: NormedSet) -> list[Monomial]:
+    sym_index = {s: i for i, s in enumerate(gens.names())}
     return sorted(t, key=lambda m: monomial_key(m, sym_index))
 
 

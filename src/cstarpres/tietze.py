@@ -399,7 +399,7 @@ def _check_justification(ambient: Presentation, target: NF, just, registry,
                 "(needs a relation with body matching one of the schema "
                 "hypotheses)" % (label, name))
         checks = []
-        if data.positive or data.sa or data.norm_les:
+        if data.positive or data.norm_les:
             ctx = _context_for(ambient, registry, report, label)
         for a in data.positive:
             iv = bounds.interval(a, ctx)
@@ -408,7 +408,6 @@ def _check_justification(ambient: Presentation, target: NF, just, registry,
                     "%s: schema %s: positivity side condition not discharged; "
                     "enclosure %s" % (label, name, iv))
             checks.append("positive: enclosure %s" % iv)
-        for a in data.sa:
             if bounds.is_sa_mod(a, ctx):
                 checks.append("self-adjoint (structural)")
             elif isinstance(search_certificate(

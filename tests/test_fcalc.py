@@ -294,10 +294,6 @@ def _instance_ok(rep, data, registry):
     for req in data.requires:
         if repsearch.op_norm(repsearch.eval_term(rep, req, registry)) > 1e-9:
             return _reject("requires")
-    for a in data.sa:
-        m = repsearch.eval_term(rep, a, registry)
-        if repsearch.op_norm(m - m.conj().T) > 1e-9:
-            return _reject("sa")
     for a in data.positive:
         m = repsearch.eval_term(rep, a, registry)
         if repsearch.op_norm(m - m.conj().T) > 1e-9:
@@ -357,7 +353,7 @@ def test_lemma_citation_success_and_errors(reg):
     # 1 + x*x is provably positive: the citation gives its identity
     _, rep = _cite(p, "sq", sq, "sqrt_square", A=a)
     assert rep.notes == ["addrel sq: lemma sqrt_square ok (positive: "
-                         "enclosure [1, 2])"]
+                         "enclosure [1, 2]; self-adjoint (structural))"]
     with pytest.raises(MoveError, match="addrel sq: lemma schema "
                        "'no_such_schema' is not available in this registry"):
         _cite(p, "sq", sq, "no_such_schema")
@@ -451,6 +447,25 @@ def test_positive_operand_with_imaginary_scalar_is_not_self_adjoint(
     with pytest.raises(MoveError, match="positivity side condition not "
                        "discharged"):
         _cite(p, "sa", x - star(x), "sa_from_positive", registry=ext, A=x)
+
+
+def test_file_schema_positive_operand_must_be_self_adjoint(reg, tmp_path):
+    # x y >= 0 gives x y a nonnegative enclosure; a positive operand must
+    # also be self-adjoint modulo the relations, here by a certificate
+    path = tmp_path / "swap.reg"
+    path.write_text("schema pos_swap:\n"
+                    "  vars A\n"
+                    "  positive ?A\n"
+                    "  gives ?A - ?A*\n")
+    ext = load_registry_file(str(path), reg)
+    g = NormedSet()
+    g.add("x", XS(1))
+    g.add("y", XS(1))
+    xy = gen_nf("x") * gen_nf("y")
+    p = Presentation("unital", g, (Relation("h", geq_zero_body(xy)),))
+    _, rep = _cite(p, "s", xy - star(xy), "pos_swap", registry=ext, A=xy)
+    assert rep.notes == ["addrel s: lemma pos_swap ok (positive: enclosure "
+                         "[0, 1]; self-adjoint (certified))"]
 
 
 def test_inv_lb_range_clamps_both_ends(reg):

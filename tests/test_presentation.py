@@ -8,7 +8,8 @@ from cstarpres.presentation import (Presentation, Relation, canonical_print,
                                     parse_presentation, split,
                                     structural_equal, to_json_dict, unitize,
                                     validate)
-from cstarpres.terms import NormedSet, gen_nf, star
+from cstarpres.parser import parse_term
+from cstarpres.terms import NormedSet, gen_nf, geq_zero_body, star
 
 ALL_PRES = ["idempotent.pres", "idempotent_lam1.pres", "left_inv_end.pres",
             "left_invertible.pres", "norm_pitfall.pres", "positive.pres",
@@ -23,6 +24,23 @@ def test_corpus_round_trips(reg, corpus):
         q = parse_presentation(text, reg)
         assert structural_equal(p, q), name
         assert canonical_print(q) == text, name
+
+
+def test_order_relations_and_right_inv_parse_to_their_bodies(reg):
+    # the three spellings of 1 - x* x >= 0 give one body, and the
+    # canonical print of each parses back to it
+    p = parse_presentation(
+        "flavor: unital\ngenerators:\n  x : 1\nrelations:\n"
+        "  le : x* x <= 1\n  ge : 1 >= x* x\n  zero : 1 - x* x >= 0\n"
+        "  ri : right_inv(x, 2)\n", reg)
+    want = geq_zero_body(parse_term("1 - x* x", p.gens, reg))
+    assert [r.body for r in p.relations[:3]] == [want] * 3
+    assert [r.origin for r in p.relations] == ["macro:order"] * 3 + \
+        ["macro:right_inv"]
+    assert p.relations[3].body == \
+        geq_zero_body(parse_term("4 x x* - 1", p.gens, reg))
+    q = parse_presentation(canonical_print(p), reg)
+    assert q.bodies() == p.bodies()
 
 
 def test_validate_clean_unital(reg):
