@@ -272,7 +272,7 @@ def _nb_atom(a: Atom, ctx: Context) -> XS:
     if a.kind in (GEN, ADJ):
         return ctx.cap(a.sym)
     fn = ctx.registry.function(a.sym)
-    if fn.domain == "entire" and not is_sa_mod(a.arg, ctx):
+    if fn.entire and not is_sa_mod(a.arg, ctx):
         return fn.norm_majorant(norm_bound(a.arg, ctx), a.params)
     return fn.range_on(interval(a.arg, ctx), a.params).max_abs()
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 from .exact import BITS, XS, Coeff
 from .terms import (NF, NormedSet, call_nf, geq_zero_body, is_selfadjoint,
-                    nf_coerce, star)
+                    nf_coerce, star, valid_ident)
 from .bounds import Ival
 
 
@@ -90,9 +90,9 @@ def _dyadic(x: Fraction, up: bool) -> Fraction:
 class FunctionSymbol:
     name: str
     n_params: int
-    domain: str  # 'selfadjoint' | 'positive' | 'entire'
     range_on: Callable[[Ival, tuple[XS, ...]], Ival]
     scalar_fn: Callable[[float, tuple[float, ...]], float]
+    entire: bool = False  # any argument; else a self-adjoint one
     domain_window: Callable[[tuple[XS, ...]], tuple[XS | None, XS | None]] = \
         lambda params: (None, None)
     # bound on ||f(a)|| from a bound on ||a||; entire symbols only
@@ -213,31 +213,31 @@ def _exp_majorant(nb: XS, params) -> XS:
 def builtin_functions() -> dict[str, FunctionSymbol]:
     fns = {}
     fns["p"] = FunctionSymbol(
-        "p", 0, "selfadjoint", _p_range,
+        "p", 0, _p_range,
         lambda t, pr: max(t, 0.0))
     sqrt_sym = FunctionSymbol(
-        "sqrt", 0, "positive", _sqrt_range,
+        "sqrt", 0, _sqrt_range,
         lambda t, pr: _math.sqrt(max(t, 0.0)),
         domain_window=lambda pr: (XS(0), None))
     fns["sqrt"] = sqrt_sym
     fns["inv_lb"] = FunctionSymbol(
-        "inv_lb", 1, "positive", _inv_range,
+        "inv_lb", 1, _inv_range,
         lambda t, pr: 1.0 / max(t, pr[0]),
         domain_window=lambda pr: (pr[0], None),
         validate_params=_inv_check)
     fns["f_param"] = FunctionSymbol(
-        "f_param", 1, "positive", _fparam_range, _fparam_scalar,
+        "f_param", 1, _fparam_range, _fparam_scalar,
         domain_window=lambda pr: (XS(0), XS(1)),
         validate_params=_fparam_check)
     fns["exp"] = FunctionSymbol(
-        "exp", 0, "entire", _exp_range,
-        lambda t, pr: _math.exp(t), norm_majorant=_exp_majorant)
+        "exp", 0, _exp_range,
+        lambda t, pr: _math.exp(t), entire=True, norm_majorant=_exp_majorant)
     fns["sin"] = FunctionSymbol(
-        "sin", 0, "entire", _trig_range(0),
-        lambda t, pr: _math.sin(t), norm_majorant=_exp_majorant)
+        "sin", 0, _trig_range(0),
+        lambda t, pr: _math.sin(t), entire=True, norm_majorant=_exp_majorant)
     fns["cos"] = FunctionSymbol(
-        "cos", 0, "entire", _trig_range(1),
-        lambda t, pr: _math.cos(t), norm_majorant=_exp_majorant)
+        "cos", 0, _trig_range(1),
+        lambda t, pr: _math.cos(t), entire=True, norm_majorant=_exp_majorant)
     return fns
 
 
@@ -265,8 +265,8 @@ class Piece:
         return acc
 
 
-def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSymbol:
-    pieces = sorted(pieces, key=lambda p: p.lo)
+def piecewise_symbol(name: str, pieces: list[Piece]) -> FunctionSymbol:
+    """The function of pieces that tile one interval, in order."""
     dom_lo, dom_hi = pieces[0].lo, pieces[-1].hi
 
     def range_fn(iv: Ival, params) -> Ival:
@@ -287,7 +287,7 @@ def piecewise_symbol(name: str, pieces: list[Piece], domain: str) -> FunctionSym
                 return float(sum(float(c) * t ** k for k, c in enumerate(pc.coeffs)))
         return 0.0
 
-    return FunctionSymbol(name, 0, domain, range_fn, scalar_fn,
+    return FunctionSymbol(name, 0, range_fn, scalar_fn,
                           domain_window=lambda pr: (XS(dom_lo), XS(dom_hi)))
 
 
@@ -478,7 +478,6 @@ def _b_two_projection_model(b: dict, reg: "Registry") -> SchemaData:
 # numeric samplers live next to the schemata so tests can validate them
 
 def _rng_complex(rng, d):
-    import numpy as np
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
@@ -583,7 +582,6 @@ def _s_two_proj_model(rng, d):
     u = _rng_unitary(rng, d)
     r = u @ r @ u.conj().T
     k = u @ k @ u.conj().T
-    s = (1 - 1 / lam ** 2) ** 0.5
     core = r @ k.conj().T @ k @ r.conj().T
     w, v = np.linalg.eigh((core + core.conj().T) / 2)
     fw = np.array([_fparam_scalar(t, (float(lam),)) for t in w])
@@ -665,14 +663,13 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
     """Extend a registry from a small text format.
 
     function NAME:
-      domain positive|selfadjoint    (default selfadjoint)
+      domain positive|selfadjoint    (accepted, and changes nothing)
       piece LO HI : C0 C1 C2 ...     (polynomial coefficients, rationals)
 
-    A function block needs at least one piece, and its domain is
-    `positive` or `selfadjoint`: a file cannot declare an entire function.
-    Its pieces, sorted by lower end, must each have LO <= HI, start where
-    the previous one ends, and take the same value there.  A block that
-    breaks any of these rules raises ValueError.
+    A function block needs at least one piece; a file cannot declare an
+    entire function.  Its pieces, sorted by lower end, must each have
+    LO <= HI, start where the previous one ends, and take the same value
+    there.
 
     schema NAME:
       vars A B ...
@@ -682,107 +679,113 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
 
     A placeholder ?NAME is the longest identifier after the `?`, so with
     `vars A AB` the template `?AB` names AB, not A followed by `B`.  A
-    template that names a placeholder missing from `vars` raises
-    ValueError.
+    template must name only placeholders declared in `vars`.
+
+    A file only adds names: each block's NAME is an identifier that no
+    function, schema or macro of the base registry or of an earlier
+    block has.  A file that breaks any rule raises ValueError naming the
+    offending line, or the block's header line for a rule on the block.
     """
     base = base if base is not None else builtin_registry()
     fns = dict(base.functions)
     schemata = dict(base.schemata)
-    cur = None  # ("function", name, domain, pieces) | ("schema", name, dict)
     with open(path) as fh:
-        lines = fh.readlines()
-
-    def flush():
-        nonlocal cur
-        if cur is None:
-            return
-        if cur[0] == "function":
-            _, name, info = cur
-            _check_pieces(name, info["pieces"])
-            fns[name] = piecewise_symbol(name, info["pieces"], info["domain"])
+        blocks = _blocks(fh.read().splitlines())
+    for n, kind, name, body in blocks:
+        if (not valid_ident(name) or name in fns or name in schemata
+                or name in MACRO_NAMES):
+            raise _file_error(n, "%r is not a new identifier, and a file may "
+                              "only add names" % name)
+        if kind == "function":
+            fns[name] = _file_function(n, name, body)
         else:
-            _, name, info = cur
-            schemata[name] = _text_schema(name, info)
-        cur = None
-
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("function ") and line.endswith(":"):
-            flush()
-            cur = ("function", line[len("function "):-1].strip(),
-                   {"domain": "selfadjoint", "pieces": []})
-            continue
-        if line.startswith("schema ") and line.endswith(":"):
-            flush()
-            cur = ("schema", line[len("schema "):-1].strip(),
-                   {"vars": [], "requires": [], "positive": [], "gives": []})
-            continue
-        if cur is None:
-            raise ValueError("registry file: directive outside a block: %r" % line)
-        if cur[0] == "function":
-            info = cur[2]
-            if line.startswith("domain "):
-                info["domain"] = line.split(None, 1)[1].strip()
-                if info["domain"] not in ("positive", "selfadjoint"):
-                    raise ValueError("registry file: domain must be positive "
-                                     "or selfadjoint, got %r" % info["domain"])
-            elif line.startswith("piece "):
-                head, coeffs = line[len("piece "):].split(":", 1)
-                lo_s, hi_s = head.split()
-                info["pieces"].append(Piece(
-                    Fraction(lo_s), Fraction(hi_s),
-                    [Fraction(c) for c in coeffs.split()]))
-            else:
-                raise ValueError("registry file: bad function line %r" % line)
-        else:
-            info = cur[2]
-            if line.startswith("vars "):
-                info["vars"] = line.split()[1:]
-            elif line.startswith("requires "):
-                info["requires"].append(line[len("requires "):])
-            elif line.startswith("positive "):
-                info["positive"].append(line[len("positive "):])
-            elif line.startswith("gives "):
-                info["gives"].append(line[len("gives "):])
-            else:
-                raise ValueError("registry file: bad schema line %r" % line)
-    flush()
+            schemata[name] = _text_schema(name, body)
     return Registry(fns, schemata)
 
 
-def _check_pieces(name: str, pieces: list[Piece]):
-    """The pieces of a file function must tile one interval, and agree
-    where they meet: the functional calculus needs a continuous function,
-    and the range map knows nothing of gaps."""
+def _file_error(n: int, msg: str) -> ValueError:
+    return ValueError("registry file: line %d: %s" % (n, msg))
+
+
+def _blocks(lines: list[str]) -> list:
+    """(header line, kind, name, [(line, directive, rest)]) per block; a
+    line number counts from 1, and `#` starts a comment."""
+    blocks = []
+    for n, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        word, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if word in ("function", "schema") and line.endswith(":"):
+            blocks.append((n, word, rest[:-1].strip(), []))
+        elif not blocks:
+            raise _file_error(n, "directive outside a block: %r" % line)
+        elif not rest:
+            raise _file_error(n, "%r has no argument" % line)
+        else:
+            blocks[-1][3].append((n, word, rest))
+    return blocks
+
+
+def _file_function(header: int, name: str, body: list) -> FunctionSymbol:
+    """A function block's pieces must tile one interval, and agree where
+    they meet: the functional calculus needs a continuous function, and
+    the range map knows nothing of gaps."""
+    pieces = []
+    for n, word, rest in body:
+        if word == "piece":
+            pieces.append((_piece(n, rest), n))
+        elif word != "domain":
+            raise _file_error(n, "bad function line %r" % (word + " " + rest))
+        elif rest not in ("positive", "selfadjoint"):
+            raise _file_error(n, "domain must be positive or selfadjoint, "
+                              "got %r" % rest)
     if not pieces:
-        raise ValueError("registry file: function %s has no piece" % name)
-    for pc in pieces:
-        if pc.lo > pc.hi:
-            raise ValueError("registry file: function %s has a piece with "
-                             "lo %s > hi %s" % (name, pc.lo, pc.hi))
-    pieces = sorted(pieces, key=lambda pc: pc.lo)
-    for prev, pc in zip(pieces, pieces[1:]):
+        raise _file_error(header, "function %s has no piece" % name)
+    pieces.sort(key=lambda pn: (pn[0].lo, pn[0].hi))
+    for (prev, _), (pc, n) in zip(pieces, pieces[1:]):
         if pc.lo != prev.hi:
-            raise ValueError("registry file: function %s has a piece ending "
-                             "at %s and the next starting at %s"
-                             % (name, prev.hi, pc.lo))
+            raise _file_error(n, "function %s has a piece ending at %s and "
+                              "the next starting at %s"
+                              % (name, prev.hi, pc.lo))
         if prev.eval_exact(pc.lo) != pc.eval_exact(pc.lo):
-            raise ValueError("registry file: function %s is not continuous "
-                             "at %s" % (name, pc.lo))
+            raise _file_error(n, "function %s is not continuous at %s"
+                              % (name, pc.lo))
+    return piecewise_symbol(name, [pc for pc, _ in pieces])
+
+
+def _piece(n: int, rest: str) -> Piece:
+    ends, colon, coeffs = rest.partition(":")
+    ends = ends.split()
+    if not colon or len(ends) != 2:
+        raise _file_error(n, "a piece reads `LO HI : C0 C1 ...`, got %r"
+                          % rest)
+    try:
+        lo, hi, *cs = map(Fraction, ends + coeffs.split())
+    except (ValueError, ZeroDivisionError):
+        raise _file_error(n, "a piece's numbers must be rationals, got %r"
+                          % rest) from None
+    if lo > hi:
+        raise _file_error(n, "piece with lo %s > hi %s" % (lo, hi))
+    return Piece(lo, hi, cs)
 
 
 _PLACEHOLDER = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
 
 
-def _text_schema(name: str, info: dict) -> LemmaSchema:
-    tvars = tuple(info["vars"])
-    for template in info["requires"] + info["positive"] + info["gives"]:
-        for v in _PLACEHOLDER.findall(template):
+def _text_schema(name: str, body: list) -> LemmaSchema:
+    tvars = ()
+    for n, word, rest in body:
+        if word == "vars":
+            tvars = tuple(rest.split())
+        elif word not in ("requires", "positive", "gives"):
+            raise _file_error(n, "bad schema line %r" % (word + " " + rest))
+    for n, _, rest in body:
+        for v in _PLACEHOLDER.findall(rest):
             if v not in tvars:
-                raise ValueError("registry file: schema %s uses undeclared "
-                                 "placeholder ?%s" % (name, v))
+                raise _file_error(n, "schema %s uses undeclared placeholder "
+                                  "?%s" % (name, v))
 
     def build(bindings: dict, reg: Registry) -> SchemaData:
         from .parser import format_term, parse_term
@@ -792,13 +795,12 @@ def _text_schema(name: str, info: dict) -> LemmaSchema:
         names = sorted(set(s for v in tvars for s in bindings[v].symbols()))
         gens = NormedSet((s, XS(10 ** 6)) for s in names)
 
-        def subst(template: str) -> NF:
-            txt = _PLACEHOLDER.sub(lambda m: text[m.group(1)], template)
-            return parse_term(txt, gens, reg, check_domains=False)
+        def subst(directive: str) -> list[NF]:
+            return [parse_term(_PLACEHOLDER.sub(lambda m: text[m.group(1)], t),
+                               gens, reg, check_domains=False)
+                    for _, word, t in body if word == directive]
 
-        return SchemaData(
-            requires=[subst(t) for t in info["requires"]],
-            gives=[subst(t) for t in info["gives"]],
-            positive=[subst(t) for t in info["positive"]])
+        return SchemaData(requires=subst("requires"), gives=subst("gives"),
+                          positive=subst("positive"))
 
     return LemmaSchema(name, tvars, (), build, None, "user schema")

@@ -36,7 +36,7 @@ class TermError(ValueError):
 # -- top-level splitting ------------------------------------------------
 
 def split_top(text: str, op: str) -> list[str]:
-    """Split on a top-level operator, paren-aware; '=' skips >=, <=."""
+    """Split on a top-level operator, paren-aware."""
     out, depth, start, i = [], 0, 0, 0
     while i < len(text):
         c = text[i]
@@ -45,12 +45,6 @@ def split_top(text: str, op: str) -> list[str]:
         elif c == ")":
             depth -= 1
         elif depth == 0 and text.startswith(op, i):
-            if op == "=" and i > 0 and text[i - 1] in "<>=":
-                i += 1
-                continue
-            if op == "=" and text.startswith("==", i):
-                i += 2
-                continue
             out.append(text[start:i])
             start = i + len(op)
             i = start
@@ -267,10 +261,9 @@ class _TermParser:
             raise TermError("%s takes %d parameter(s), got %d"
                             % (name, fn.n_params, len(params)))
         fn.validate_params(tuple(params))
-        if fn.domain != "entire":
-            if not is_selfadjoint(arg):
-                raise TermError(
-                    "argument of %s must be self-adjoint as a normal form" % name)
+        if not fn.entire and not is_selfadjoint(arg):
+            raise TermError(
+                "argument of %s must be self-adjoint as a normal form" % name)
         atom = Atom(CALL, name, arg, tuple(params))
         if self.check_domains:
             _check_call_domain(atom, fn, self.gens, self.registry)

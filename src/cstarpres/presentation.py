@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .terms import (NF, NormedSet, UNIT, augmentation, geq_zero_body,
-                    valid_ident)
+from .terms import (NF, NormedSet, UNIT, augmentation, gen_nf,
+                    geq_zero_body, substitute, valid_ident)
 from .parser import (ParseError, parse_term, parse_scalar, parse_normvalue,
                      format_term, format_scalar_xs, split_top)
 from . import fcalc
@@ -267,7 +267,6 @@ def join(parts: list[Presentation]) -> Presentation:
     """Free product: disjoint union of generators and relations.  A name
     already taken by an earlier part gets the first free suffix _2, _3, ...,
     and each rename is recorded in the notes."""
-    from .terms import substitute, gen_nf
     if not parts:
         raise ValueError("join of no presentations")
     for p in parts:

@@ -113,7 +113,7 @@ class _Call:
         if fn is None:
             raise EvalError("unknown function symbol %r" % atom.sym)
         self.sym = atom.sym
-        self.entire = fn.domain == "entire"
+        self.entire = fn.entire
         # read only by EvalDiag.clamp: scalar_fn clamps into it itself
         self.window = fn.clamp_window(atom.params)
         params = tuple(float(p) for p in atom.params)

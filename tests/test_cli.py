@@ -463,15 +463,35 @@ def test_registry_env_var(capsys, tmp_path, monkeypatch):
             == hashlib.sha256(extra.read_bytes()).hexdigest())
 
 
-@pytest.mark.parametrize("block", [
-    "function nopiece:\n  domain selfadjoint\n",
-    "function bad:\n  domain entire\n  piece 0 1 : 0 1\n",
-    "function back:\n  piece 1 0 : 0 1\n",
-    "function gap:\n  piece 0 1 : -5\n  piece 2 3 : -5\n",
-    "function overlap:\n  piece 0 2 : 1\n  piece 1 3 : 1\n",
-    "function jump:\n  piece 1 2 : 0 1\n  piece 0 1 : 0\n",
-    "schema undeclared:\n  vars A\n  gives ?A - ?B\n",
-])
+# each bad registry file, with the line its error names
+BAD_REGISTRY_FILES = {
+    "function nopiece:\n  domain selfadjoint\n": 1,
+    "function bad:\n  domain entire\n  piece 0 1 : 0 1\n": 2,
+    "function back:\n  piece 1 0 : 0 1\n": 2,
+    "function gap:\n  piece 0 1 : -5\n  piece 2 3 : -5\n": 3,
+    "function overlap:\n  piece 0 2 : 1\n  piece 1 3 : 1\n": 3,
+    "function jump:\n  piece 1 2 : 0 1\n  piece 0 1 : 0\n": 2,
+    "schema undeclared:\n  vars A\n  gives ?A - ?B\n": 3,
+    "function f:\n  piece 0 1 : 1/0\n": 2,
+    "function f:\n  piece 0 1/0 : 1\n": 2,
+    "function f:\n  piece 0 1 2 : 1\n": 2,
+    "function f:\n  piece 0 1\n": 2,
+    "function f:\n  piece a 1 : 1\n": 2,
+    "function f:\n  piece\n": 2,
+    "function f:\n  knot 0 1 : 1\n": 2,
+    "# no block yet\n  piece 0 1 : 1\n": 2,
+    "function p:\n  piece -100 100 : 0 1\n": 1,
+    "function sqrt:\n  domain positive\n  piece 0 10 : 0 1\n": 1,
+    "schema sqrt_square:\n  vars A\n  gives ?A - ?A\n": 1,
+    "function 9f:\n  piece 0 1 : 1\n": 1,
+    "function :\n  piece 0 1 : 1\n": 1,
+    "function inv:\n  piece 0 1 : 1\n": 1,
+    "function f:\n  piece 0 1 : 1\n\nfunction f:\n  piece 0 1 : 2\n": 4,
+    "schema s:\n  vars A\n  assumes ?A\n": 3,
+}
+
+
+@pytest.mark.parametrize("block", BAD_REGISTRY_FILES)
 def test_bad_registry_file_is_exit_2(capsys, corpus, tmp_path, block):
     extra = tmp_path / "bad.reg"
     extra.write_text(block)
@@ -479,7 +499,38 @@ def test_bad_registry_file_is_exit_2(capsys, corpus, tmp_path, block):
                        str(corpus / "self_adjoint.pres"),
                        "--registry", str(extra), "--manifest", "")
     assert code == 2
-    assert err.startswith("error: registry file:")
+    assert err.startswith("error: registry file: line %d: "
+                          % BAD_REGISTRY_FILES[block]), err
+
+
+# a file that could rebind a builtin name would make the kernel certify
+# false statements: with p the identity, pos_x : x >= 0 says nothing, yet
+# the bound engine still reads it as x >= 0 and proves ||x - 1/2|| <= 1/2;
+# with sqrt the identity, sqrt(x* x)^2 = x* x fails unless x* x is a
+# projection, yet it passes as an instance of sqrt_square
+@pytest.mark.parametrize("registry, argv", [
+    ("function p:\n  piece -100 100 : 0 1\n",
+     ("normbound", "x - 1/2", "-p", "sa.pres")),
+    ("function sqrt:\n  domain positive\n  piece 0 10 : 0 1\n",
+     ("check", "sq.drv", "--strict")),
+])
+def test_registry_file_cannot_rebind_a_builtin(capsys, tmp_path, registry,
+                                               argv):
+    head = "flavor: unital\ngenerators:\n  x : 1\nrelations:\n"
+    (tmp_path / "sa.pres").write_text(head + "  sa_x : x = x*\n"
+                                      "  pos_x : x >= 0\n")
+    (tmp_path / "free.pres").write_text(head)
+    (tmp_path / "sq.pres").write_text(head + "  s : sqrt(x* x)^2 = x* x\n")
+    (tmp_path / "sq.drv").write_text(
+        "start: free.pres\nend: sq.pres\n\n1. addrel s := sqrt(x* x)^2 = "
+        "x* x by fclemma(sqrt_square; A = x* x)\n")
+    (tmp_path / "bad.reg").write_text(registry)
+    # under the builtin registry both statements hold
+    assert run(capsys, *argv, "--manifest", "")[0] == 0
+    code, out, err = run(capsys, *argv, "--registry", str(tmp_path / "bad.reg"),
+                         "--manifest", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: registry file: line 1: ")
 
 
 

@@ -478,3 +478,48 @@ def test_inv_lb_range_clamps_both_ends(reg):
                        ("inv_lb(x* x - 1, 1)", Fraction(1))]:
         t = parse_term(text, g, reg, check_domains=False)
         assert bounds.interval(t, ctx) == Ival(XS(want), XS(want))
+
+
+_FUZZ_NAMES = ["f", "g", "h2", "p", "sqrt", "exp", "inv", "norm_le",
+               "sqrt_square", "9f", "", "a b", "i"]
+_FUZZ_NUMBERS = ["0", "1", "-1", "1/2", "2", "-3/4", "1/0", "a", ":", "0.5"]
+_FUZZ_LINES = ["domain positive", "domain selfadjoint", "domain entire",
+               "domain", "vars A B", "vars", "requires ?A - ?B",
+               "positive ?A", "gives ?A* - ?A", "gives ?C", "bogus 1",
+               "piece", "", "# a comment"]
+
+
+def _fuzz_line(rng) -> str:
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return "%s %s:" % (("function", "schema")[rng.integers(0, 2)],
+                           _FUZZ_NAMES[rng.integers(0, len(_FUZZ_NAMES))])
+    if kind == 1:
+        return _FUZZ_LINES[rng.integers(0, len(_FUZZ_LINES))]
+    # a piece: mostly two ends and a colon, sometimes neither
+    nums = [_FUZZ_NUMBERS[k] for k in rng.integers(0, len(_FUZZ_NUMBERS), 5)]
+    ends = int(rng.choice([1, 2, 2, 2, 2, 3]))
+    colon = " :" if rng.random() < 0.9 else ""
+    return "  piece %s%s %s" % (" ".join(nums[:ends]), colon,
+                                " ".join(nums[ends:]))
+
+
+def test_registry_file_fuzz_fails_only_on_a_line(reg, tmp_path):
+    """Seeded random registry files either load or raise a ValueError
+    that names the offending line; none raises anything else."""
+    rng = np.random.default_rng(30)
+    path = tmp_path / "fuzz.reg"
+    loaded = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        lines = [_fuzz_line(rng) for _ in range(n)]
+        if rng.random() < 0.8:
+            lines[0] = "function f:" if rng.random() < 0.5 else "schema s:"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            load_registry_file(str(path), reg)
+        except ValueError as e:
+            assert str(e).startswith("registry file: line "), (lines, e)
+        else:
+            loaded += 1
+    assert 50 < loaded < 1950

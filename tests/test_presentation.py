@@ -5,10 +5,10 @@ import pytest
 from cstarpres.exact import XS
 from cstarpres.presentation import (Presentation, Relation, canonical_print,
                                     join, load_presentation,
-                                    parse_presentation, split,
-                                    structural_equal, to_json_dict, unitize,
-                                    validate)
-from cstarpres.parser import parse_term
+                                    parse_presentation, parse_relation_text,
+                                    split, structural_equal, to_json_dict,
+                                    unitize, validate)
+from cstarpres.parser import ParseError, parse_term
 from cstarpres.terms import NormedSet, gen_nf, geq_zero_body, star
 
 ALL_PRES = ["idempotent.pres", "idempotent_lam1.pres", "left_inv_end.pres",
@@ -24,6 +24,13 @@ def test_corpus_round_trips(reg, corpus):
         q = parse_presentation(text, reg)
         assert structural_equal(p, q), name
         assert canonical_print(q) == text, name
+
+
+@pytest.mark.parametrize("text", ["x >= 0 >= 1", "x = y = x", "x == y"])
+def test_relation_with_two_relation_signs_is_a_parse_error(reg, text):
+    g = NormedSet([("x", XS(1)), ("y", XS(1))])
+    with pytest.raises(ParseError, match="more than one"):
+        parse_relation_text("r", text, g, reg)
 
 
 def test_order_relations_and_right_inv_parse_to_their_bodies(reg):

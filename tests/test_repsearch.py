@@ -179,7 +179,7 @@ def _kink_free(rep, t, reg, gap=1e-3):
             if not _kink_free(rep, atom.arg, reg, gap):
                 return False
             fn = reg.function(atom.sym)
-            if fn.domain == "entire":
+            if fn.entire:
                 continue
             params = tuple(float(p) for p in atom.params)
 
