@@ -664,7 +664,8 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
 
     function NAME:
       domain positive|selfadjoint    (accepted, and changes nothing)
-      piece LO HI : C0 C1 C2 ...     (polynomial coefficients, rationals)
+      piece LO HI : C0 C1 C2 ...     (polynomial coefficients; each number
+                                      a rational [-]nat['/'nat])
 
     A function block needs at least one piece; a file cannot declare an
     entire function.  Its pieces, sorted by lower end, must each have
@@ -678,8 +679,10 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
       gives TEMPLATE
 
     A placeholder ?NAME is the longest identifier after the `?`, so with
-    `vars A AB` the template `?AB` names AB, not A followed by `B`.  A
-    template must name only placeholders declared in `vars`.
+    `vars A AB` the template `?AB` names AB, not A followed by `B`.  The
+    `vars` are identifiers, each named once, and a template must name
+    only placeholders declared in `vars`.  Each template is parsed at
+    load (`_parse_templates`), after every block is read.
 
     A file only adds names: each block's NAME is an identifier that no
     function, schema or macro of the base registry or of an earlier
@@ -700,7 +703,11 @@ def load_registry_file(path: str, base: Registry | None = None) -> Registry:
             fns[name] = _file_function(n, name, body)
         else:
             schemata[name] = _text_schema(name, body)
-    return Registry(fns, schemata)
+    reg = Registry(fns, schemata)
+    for _, kind, name, body in blocks:
+        if kind == "schema":
+            _parse_templates(name, schemata[name].term_vars, body, reg)
+    return reg
 
 
 def _file_error(n: int, msg: str) -> ValueError:
@@ -762,13 +769,25 @@ def _piece(n: int, rest: str) -> Piece:
         raise _file_error(n, "a piece reads `LO HI : C0 C1 ...`, got %r"
                           % rest)
     try:
-        lo, hi, *cs = map(Fraction, ends + coeffs.split())
+        lo, hi, *cs = map(_rational, ends + coeffs.split())
     except (ValueError, ZeroDivisionError):
-        raise _file_error(n, "a piece's numbers must be rationals, got %r"
-                          % rest) from None
+        raise _file_error(n, "a piece's numbers must be rationals "
+                          "[-]nat['/'nat], got %r" % rest) from None
     if lo > hi:
         raise _file_error(n, "piece with lo %s > hi %s" % (lo, hi))
     return Piece(lo, hi, cs)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(text: str) -> Fraction:
+    """A rational as a term writes one, with an optional sign: no
+    decimal point and no exponent, so a short token stays a short
+    number."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(text)
+    return Fraction(text)
 
 
 _PLACEHOLDER = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
@@ -778,7 +797,12 @@ def _text_schema(name: str, body: list) -> LemmaSchema:
     tvars = ()
     for n, word, rest in body:
         if word == "vars":
-            tvars = tuple(rest.split())
+            for v in rest.split():
+                if not valid_ident(v) or v in tvars:
+                    raise _file_error(n, "schema %s: var %r is not an "
+                                      "identifier, or repeats one"
+                                      % (name, v))
+                tvars += (v,)
         elif word not in ("requires", "positive", "gives"):
             raise _file_error(n, "bad schema line %r" % (word + " " + rest))
     for n, _, rest in body:
@@ -788,7 +812,7 @@ def _text_schema(name: str, body: list) -> LemmaSchema:
                                   "?%s" % (name, v))
 
     def build(bindings: dict, reg: Registry) -> SchemaData:
-        from .parser import format_term, parse_term
+        from .parser import format_term
 
         text = {v: "(" + format_term(bindings[v], NormedSet()) + ")"
                 for v in tvars}
@@ -796,11 +820,36 @@ def _text_schema(name: str, body: list) -> LemmaSchema:
         gens = NormedSet((s, XS(10 ** 6)) for s in names)
 
         def subst(directive: str) -> list[NF]:
-            return [parse_term(_PLACEHOLDER.sub(lambda m: text[m.group(1)], t),
-                               gens, reg, check_domains=False)
+            return [_parse_template(t, text, gens, reg)
                     for _, word, t in body if word == directive]
 
         return SchemaData(requires=subst("requires"), gives=subst("gives"),
                           positive=subst("positive"))
 
     return LemmaSchema(name, tvars, (), build, None, "user schema")
+
+
+def _parse_template(t: str, text: dict, gens: NormedSet,
+                    reg: Registry) -> NF:
+    """Template t with each placeholder replaced by its text."""
+    from .parser import parse_term
+
+    return parse_term(_PLACEHOLDER.sub(lambda m: text[m[1]], t), gens, reg,
+                      check_domains=False)
+
+
+def _parse_templates(name: str, tvars: tuple, body: list, reg: Registry):
+    """Parse each template once, as `build` parses it, with each
+    placeholder standing for a self-adjoint term of its own generator, so
+    that a call on a placeholder, as in sqrt(?A), parses as it does for
+    the self-adjoint terms it takes."""
+    text = {v: "(%s + %s*)" % (v, v) for v in tvars}
+    gens = NormedSet((v, XS(1)) for v in tvars)
+    for n, word, t in body:
+        if word == "vars":
+            continue
+        try:
+            _parse_template(t, text, gens, reg)
+        except ValueError as e:
+            raise _file_error(n, "schema %s: template %r does not parse "
+                              "(%s)" % (name, t, e)) from None

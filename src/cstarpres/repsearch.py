@@ -15,8 +15,9 @@ it once more, without the reward row, from their own start points
 contracted towards 0.  A cap enters LM as the
 distance of its generator to the cap ball, one row per singular value,
 and LM without the reward row stops a restart once it is feasible with
-a margin.  The Jacobians are reverse mode through every atom, reusing
-the products of the forward pass:
+a margin, or once the rate of its last step cannot get it there in the
+iterations it has left.  The Jacobians are reverse mode through every
+atom, reusing the products of the forward pass:
 divided differences of the scalar function for spectral calls
 (Daleckii-Krein) and the Frechet derivative of the matrix exponential
 for entire ones.
@@ -58,7 +59,7 @@ class SearchConfig:
     seed: int = 0
     restarts: int = 8
     # unused; kept only because bench/workloads.py passes it, until the
-    # bench's next change (ROADMAP item 9)
+    # bench's next change (ROADMAP item 11)
     max_iters: int = 350
     tol_feas: ClassVar[float] = 1e-8  # feasible: every relation residual below
     tol_cap: ClassVar[float] = 1e-6   # feasible: every cap excess below
@@ -515,6 +516,13 @@ def _flatten(grads: dict, syms: list[str]) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _out_of_reach(cost: np.ndarray, ct: np.ndarray, floor: float,
+                  left: int) -> np.ndarray:
+    """Rows whose step lowered their cost from `cost` to `ct` but which,
+    at that rate, cannot reach `floor` in the `left` iterations left."""
+    return ct - floor > left * (cost - ct)
+
+
 def _polish(objective: _Objective, theta: np.ndarray,
             reward: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on `objective.lsq` (with its reward row when
@@ -526,18 +534,24 @@ def _polish(objective: _Objective, theta: np.ndarray,
     takes its trial point when the cost is finite and falls (then
     lam / 3) and keeps its point otherwise (then lam * 4), so a trial
     that overflows is rejected quietly.  A row stops on a step below
-    1e-15 of its norm, a relative cost drop below 1e-15, a zero cost, or
-    a damping above 1e16.
+    1e-15 of its norm, a zero cost, or a damping above 1e16.
 
-    With the reward row, a row also stops, or does not start, once the
-    operator norm of the reward term is at least `kernel_bound`: no
-    feasible point goes past that bound, so pushing further only costs
-    iterations.  Without the reward row, a row also stops, or does not
-    start, once its cost is at most (FEAS_MARGIN tol_feas)^2: then every
+    With the reward row, a row also stops on a relative cost drop below
+    1e-15, and it stops, or does not start, once the operator norm of
+    the reward term is at least `kernel_bound`: no feasible point goes
+    past that bound, so pushing further only costs iterations.
+
+    Without the reward row, a row stops, or does not start, once its
+    cost is at most the floor (FEAS_MARGIN tol_feas)^2: then every
     relation residual is at most 1e-11 and every cap excess at most
     1e-11 / sqrt(penalty), so the row scores feasible, and it would
-    have scored feasible had it gone on, since no step raises the
-    cost."""
+    have scored feasible had it gone on, since no step raises the cost.
+    A row that takes its step also stops when, at the rate that step
+    lowered its cost, the iterations left cannot bring it to the floor
+    (`_out_of_reach`): on a plateau such as the cap of y in norm_pitfall
+    it would spend them all for nothing.  Such a row stops above the
+    floor; if it then scores infeasible after the polish, the rescue
+    redoes it from its own start and never reads this endpoint."""
     theta = theta.copy()
     n = theta.shape[1]
     f, jac, top = objective.lsq(theta, reward)
@@ -548,7 +562,7 @@ def _polish(objective: _Objective, theta: np.ndarray,
     active = cost > floor
     if reward:
         active &= top < objective.kernel_bound
-    for _ in range(POLISH_ITERS):
+    for it in range(POLISH_ITERS):
         idx = np.flatnonzero(active)
         if not len(idx):
             break
@@ -566,8 +580,12 @@ def _polish(objective: _Objective, theta: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             ft, jac_t, top_t = objective.lsq(trial, reward)
             ct = np.sum(ft * ft, axis=1)
-        ok = np.isfinite(ct) & (ct < cost[idx])
-        stalled = ok & (cost[idx] - ct <= 1e-15 * cost[idx])
+            ok = np.isfinite(ct) & (ct < cost[idx])
+            if reward:
+                stalled = ok & (cost[idx] - ct <= 1e-15 * cost[idx])
+            else:
+                stalled = ok & _out_of_reach(cost[idx], ct, floor,
+                                             POLISH_ITERS - 1 - it)
         took = idx[ok]
         theta[took], f[took], jac[took], cost[took] = (
             trial[ok], ft[ok], jac_t[ok], ct[ok])

@@ -488,6 +488,13 @@ BAD_REGISTRY_FILES = {
     "function inv:\n  piece 0 1 : 1\n": 1,
     "function f:\n  piece 0 1 : 1\n\nfunction f:\n  piece 0 1 : 2\n": 4,
     "schema s:\n  vars A\n  assumes ?A\n": 3,
+    "function f:\n  piece 0 1 : 1e3000000\n": 2,
+    "function f:\n  piece 0 0.5 : 1\n": 2,
+    "function f:\n  piece 0 1 : 1e400\n": 2,
+    "schema s:\n  vars A 9b\n  gives ?A +\n": 2,
+    "schema s:\n  vars A\n  gives ?A +\n": 3,
+    "schema s:\n  vars A B A\n  gives ?A - ?B\n": 2,
+    "schema s:\n  vars A\n  requires ?A\n  gives no_such_fn(?A)\n": 4,
 }
 
 

@@ -427,6 +427,25 @@ def test_user_registry_file(reg, tmp_path):
         _cite(p, "t", x - x, "shift_cancel", registry=reg, A=x)
 
 
+def test_file_schema_templates_are_parsed_at_load(reg, tmp_path):
+    # a call on a placeholder parses, as it does for the self-adjoint
+    # terms it takes, and a template may call a function of a later block
+    path = tmp_path / "calls.reg"
+    path.write_text("schema sq:\n"
+                    "  vars A\n"
+                    "  positive ?A\n"
+                    "  gives sqrt(?A)^2 - ?A\n"
+                    "  gives later(?A* ?A) - later(?A ?A*)\n"
+                    "function later:\n"
+                    "  piece 0 1 : 0 1\n")
+    ext = load_registry_file(str(path), reg)
+    assert ext.schema("sq").term_vars == ("A",)
+    path.write_text("schema bad:\n  vars A\n  gives ?A - sqrt(?A\n")
+    with pytest.raises(ValueError, match=r"^registry file: line 3: schema "
+                       r"bad: template '\?A - sqrt\(\?A' does not parse"):
+        load_registry_file(str(path), reg)
+
+
 def test_positive_operand_with_imaginary_scalar_is_not_self_adjoint(
         reg, tmp_path):
     # x + i >= 0 holds for x = 1 - i with |x| <= 2, where x* != x; the

@@ -749,6 +749,46 @@ def test_polish_stops_once_feasible_with_margin(reg, corpus, monkeypatch):
     assert _lsq_calls(monkeypatch, p, gen_nf("x"), reg)[False] <= 40
 
 
+def test_polish_stops_a_row_that_cannot_reach_the_floor(reg, corpus):
+    # every restart of x ends the polish on a plateau of cost 1/16, x of
+    # norm 1/2 and y on its cap, which a relative-drop test left only
+    # after 68 to 85 iterations; the rescue redoes each of them
+    p = load_presentation(str(corpus / "norm_pitfall.pres"), reg)
+    res = search_feasible(p, 2, SearchConfig(seed=1, restarts=12), reg,
+                          reward_term=gen_nf("x"))
+    assert max(o.lm_steps["polish"] for o in res.outcomes) <= 30
+    assert len(res.feasible) == 12
+    assert all(o.stage == "rescue" for o in res.outcomes)
+
+
+def test_out_of_reach_stop_loses_no_grid_search(reg, corpus, monkeypatch):
+    # against a polish that never stops a row for its rate, no corpus
+    # search changes a feasible flag or ends with a lower best bound
+    def searches():
+        out = []
+        for path in sorted(corpus.glob("*.pres")):
+            p = load_presentation(str(path), reg)
+            for d in (2, 3):
+                for seed in (1, 9001):
+                    for g in [None] + p.gens.names():
+                        res = search_feasible(
+                            p, d, SearchConfig(seed=seed), reg,
+                            reward_term=None if g is None else gen_nf(g))
+                        out.append(([o.feasible for o in res.outcomes],
+                                    max((o.value for o in res.feasible
+                                         if o.value is not None),
+                                        default=0.0)))
+        return out
+    ruled = searches()
+    monkeypatch.setattr(repsearch, "_out_of_reach",
+                        lambda cost, ct, floor, left: np.zeros(len(ct), bool))
+    unruled = searches()
+    assert len(ruled) == 84
+    for (flags, best), (want_flags, want_best) in zip(ruled, unruled):
+        assert flags == want_flags
+        assert best >= want_best
+
+
 def test_polish_stops_on_a_flat_jacobian(reg):
     # the relation 1 = 0 has a residual but no gradient inside the cap
     p = parse_presentation(
